@@ -329,10 +329,7 @@ int Attack(const cli::Args& args) {
         "                    scores are bit-identical either way\n"
         "  --threads N       worker threads (default: BB_THREADS env,\n"
         "                    else all hardware threads)\n"
-        "  --trace FILE      write per-stage timings/counters as JSON\n"
-        "\n"
-        "BB_KERNEL=scalar|vector selects the pixel-kernel implementation\n"
-        "(bit-identical results; default vector).\n",
+        "  --trace FILE      write per-stage timings/counters as JSON\n",
         core::kDefaultPhi);
     return 0;
   }

@@ -19,10 +19,10 @@ struct Variant {
   vbg::MattingParams params;
 };
 
-double LeakUnion(const vbg::CompositedCall& call) {
+imaging::Bitmap LeakUnion(const vbg::CompositedCall& call) {
   imaging::Bitmap u(call.video.width(), call.video.height());
   for (const auto& m : call.leak_masks) u = imaging::Or(u, m);
-  return imaging::SetFraction(u);
+  return u;
 }
 
 }  // namespace
@@ -86,12 +86,34 @@ int main() {
       core::Reconstructor rc(ref, seg);
       const auto rec = rc.Run(call.video);
       const auto rbrr = core::Rbrr(rec, raw.true_background);
-      std::printf("%-22s %11.1f%% %9.1f%%\n", v.name, 100.0 * LeakUnion(call),
+      const imaging::Bitmap leaks = LeakUnion(call);
+      const double true_leak = imaging::SetFraction(leaks);
+      std::printf("%-22s %11.1f%% %9.1f%%\n", v.name, 100.0 * true_leak,
                   100.0 * rbrr.verified);
       // Report keys: <action>/<variant>, e.g. "rbrr arm_wave/- temporal lag".
       const std::string key = std::string(ToString(action)) + "/" + v.name;
       report.Measured("rbrr " + key, rbrr.verified);
-      report.Measured("true_leak " + key, LeakUnion(call));
+      report.Measured("true_leak " + key, true_leak);
+      if (std::string(v.name) == "full model") {
+        // Where the leak goes: the caller mask's IoU with the true caller
+        // on the middle frame, and the share of the true leak the attack
+        // claims.
+        rc.PrepareCaller(call.video);
+        const int mid = call.video.frame_count() / 2;
+        const double vcm_iou =
+            imaging::Iou(rc.Decompose(call.video, mid).vcm,
+                         raw.caller_masks[static_cast<std::size_t>(mid)]);
+        const double leak_recall =
+            true_leak > 0.0
+                ? imaging::SetFraction(imaging::And(rec.coverage, leaks)) /
+                      true_leak
+                : 0.0;
+        std::printf("%-22s VCM/caller IoU %.3f (frame %d), leak recall "
+                    "%.1f%%\n",
+                    "", vcm_iou, mid, 100.0 * leak_recall);
+        report.Measured("vcm_iou " + key, vcm_iou);
+        report.Measured("leak_recall " + key, leak_recall);
+      }
       if (action == synth::ActionKind::kArmWave) {
         if (std::string(v.name) == "full model") {
           full_wave_rbrr = rbrr.verified;

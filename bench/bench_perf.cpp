@@ -570,11 +570,10 @@ int main(int argc, char** argv) {
                      reversed->coverage == merged.coverage &&
                      reversed->leak_counts == merged.leak_counts);
   }
-  // Kernel + pruned-search probe (DESIGN.md section 15): the template-match
-  // and location sweeps with pruning off vs on over the same inputs, and a
-  // representative kernel under both dispatches. The shape checks pin the
-  // exactness contract (pruned == exhaustive, scalar == vector, bit for
-  // bit); the measured ratios are the speed claim the trajectory pins.
+  // Pruned-search probe (DESIGN.md section 15): the template-match and
+  // location sweeps with pruning off vs on over the same inputs. The shape
+  // checks pin the exactness contract (pruned == exhaustive, bit for bit);
+  // the measured ratios are the speed claim the trajectory pins.
   {
     const auto raw = SharedRecording();
     const bb::imaging::Bitmap coverage(kW, kH, bb::imaging::kMaskSet);
@@ -610,20 +609,6 @@ int main(int argc, char** argv) {
     report.Measured("match_template.prune_speedup", t_exhaustive / t_pruned);
     report.Shape("pruned template search bit-identical to exhaustive",
                  pruned.found && same_match(pruned, exhaustive));
-
-    // Same pruned sweep under the scalar kernels: the dispatch contract
-    // says the answer cannot move.
-    {
-      namespace kernels = bb::imaging::kernels;
-      const kernels::Dispatch before = kernels::Active();
-      kernels::SetDispatchForTest(kernels::Dispatch::kScalar);
-      bb::detect::TemplateMatchResult scalar_result;
-      const double t_scalar = time_match(true, &scalar_result);
-      kernels::SetDispatchForTest(before);
-      report.Measured("match_template.pruned_scalar [s]", t_scalar);
-      report.Shape("template search dispatch-invariant (scalar == vector)",
-                   same_match(scalar_result, pruned));
-    }
 
     // Location sweep: rank a small dictionary (the true background among
     // stock decoys) against a partial reconstruction - coverage is the
@@ -665,30 +650,6 @@ int main(int argc, char** argv) {
     report.Shape("pruned location ranking bit-identical to exhaustive",
                  ranks_equal && !rank_pruned.empty() &&
                      rank_pruned.front().index == 0);
-
-    // One representative bounded kernel, both implementations head-to-head
-    // on the same spans (the full-frame SAD the VBM path leans on).
-    {
-      namespace kernels = bb::imaging::kernels;
-      const auto a = raw.true_background.pixels();
-      const auto b = raw.video.frame(0).pixels();
-      constexpr int kKernelRounds = 200;
-      std::uint64_t sad_scalar = 0, sad_vector = 0;
-      bb::bench::Stopwatch scalar_watch;
-      for (int i = 0; i < kKernelRounds; ++i) {
-        sad_scalar += kernels::scalar::SadRgb(a, b);
-      }
-      const double k_scalar = scalar_watch.Seconds() / kKernelRounds;
-      bb::bench::Stopwatch vector_watch;
-      for (int i = 0; i < kKernelRounds; ++i) {
-        sad_vector += kernels::vec::SadRgb(a, b);
-      }
-      const double k_vector = vector_watch.Seconds() / kKernelRounds;
-      report.Measured("kernel.sad_rgb.scalar [s]", k_scalar);
-      report.Measured("kernel.sad_rgb.vector [s]", k_vector);
-      report.Shape("SadRgb scalar and vector agree on every byte",
-                   sad_scalar == sad_vector);
-    }
   }
   // Daemon throughput probe (DESIGN.md section 16): the streaming fixture
   // drained through attackd's supervisor as 3-shard jobs, once with the

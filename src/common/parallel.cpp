@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -14,6 +15,9 @@ namespace bb::common {
 namespace {
 
 std::atomic<int> g_thread_override{0};
+
+// ThreadPool::SetWorkerHookForTest; nullptr outside tests.
+std::atomic<void (*)()> g_worker_hook{nullptr};
 
 thread_local bool t_in_parallel_region = false;
 
@@ -65,18 +69,24 @@ int NumShards(std::int64_t items, std::int64_t grain) {
 // ---- ThreadPool ------------------------------------------------------------
 
 struct ThreadPool::Impl {
+  // One Run() call. Workers hold it by shared_ptr, so a worker that took
+  // a job late can only claim from that job's counter, never a task of the
+  // next job.
+  struct Job {
+    const std::function<void(int)>* fn = nullptr;
+    int task_count = 0;
+    std::atomic<int> next_task{0};
+    int unfinished = 0;                // tasks not yet completed; under mu
+    std::exception_ptr first_error;    // under mu
+  };
+
   std::mutex mu;
   std::condition_variable work_cv;   // workers wait here for a job
   std::condition_variable done_cv;   // Run() waits here for completion
   std::vector<std::thread> workers;
 
-  // Current job; guarded by mu except for next_task (atomic claim).
-  std::uint64_t epoch = 0;           // bumped per job
-  const std::function<void(int)>* fn = nullptr;
-  int task_count = 0;
-  std::atomic<int> next_task{0};
-  int unfinished = 0;                // tasks not yet completed
-  std::exception_ptr first_error;
+  std::uint64_t epoch = 0;           // bumped per job; under mu
+  std::shared_ptr<Job> job;          // current job; under mu
   bool shutdown = false;
 
   // Serializes Run() callers; the pool executes one job at a time.
@@ -89,24 +99,28 @@ struct ThreadPool::Impl {
       work_cv.wait(lock, [&] { return shutdown || epoch != seen; });
       if (shutdown) return;
       seen = epoch;
-      const auto* job = fn;
-      const int count = task_count;
+      const std::shared_ptr<Job> taken = job;
       lock.unlock();
-      DrainTasks(job, count);
+      if (taken) {
+        if (void (*hook)() = g_worker_hook.load()) hook();
+        DrainTasks(*taken);
+      }
       lock.lock();
     }
   }
 
-  // Claims and runs tasks until none remain; records completions.
-  void DrainTasks(const std::function<void(int)>* job, int count) {
+  // Claims and runs tasks until none remain; records completions. Run()
+  // returns only once every task was claimed, so a worker that took the
+  // job late claims nothing and never calls the (by then dead) fn.
+  void DrainTasks(Job& j) {
     RegionGuard region;
     int done_here = 0;
     std::exception_ptr error;
     for (;;) {
-      const int task = next_task.fetch_add(1, std::memory_order_relaxed);
-      if (task >= count) break;
+      const int task = j.next_task.fetch_add(1, std::memory_order_relaxed);
+      if (task >= j.task_count) break;
       try {
-        (*job)(task);
+        (*j.fn)(task);
       } catch (...) {
         if (!error) error = std::current_exception();
       }
@@ -114,9 +128,9 @@ struct ThreadPool::Impl {
     }
     if (done_here > 0 || error) {
       std::lock_guard<std::mutex> lock(mu);
-      unfinished -= done_here;
-      if (error && !first_error) first_error = error;
-      if (unfinished == 0) done_cv.notify_all();
+      j.unfinished -= done_here;
+      if (error && !j.first_error) j.first_error = error;
+      if (j.unfinished == 0) done_cv.notify_all();
     }
   }
 
@@ -173,30 +187,32 @@ void ThreadPool::Run(int max_workers, int task_count,
   Impl* p = impl();
   std::lock_guard<std::mutex> run_lock(p->run_mu);
   const int helpers = std::min(max_workers, task_count) - 1;
+  const auto job = std::make_shared<Impl::Job>();
+  job->fn = &fn;
+  job->task_count = task_count;
+  job->unfinished = task_count;
   {
     std::lock_guard<std::mutex> lock(p->mu);
     p->EnsureWorkers(helpers);
-    p->fn = &fn;
-    p->task_count = task_count;
-    p->next_task.store(0, std::memory_order_relaxed);
-    p->unfinished = task_count;
-    p->first_error = nullptr;
+    p->job = job;
     ++p->epoch;
   }
   p->work_cv.notify_all();
 
   // The caller participates instead of idling.
-  p->DrainTasks(&fn, task_count);
+  p->DrainTasks(*job);
 
   std::unique_lock<std::mutex> lock(p->mu);
-  p->done_cv.wait(lock, [&] { return p->unfinished == 0; });
-  p->fn = nullptr;
-  if (p->first_error) {
-    auto error = p->first_error;
-    p->first_error = nullptr;
+  p->done_cv.wait(lock, [&] { return job->unfinished == 0; });
+  p->job = nullptr;
+  if (job->first_error) {
     lock.unlock();
-    std::rethrow_exception(error);
+    std::rethrow_exception(job->first_error);
   }
+}
+
+void ThreadPool::SetWorkerHookForTest(void (*hook)()) {
+  g_worker_hook.store(hook);
 }
 
 // ---- Helpers ---------------------------------------------------------------

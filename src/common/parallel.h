@@ -69,6 +69,10 @@ class ThreadPool {
   // Workers currently alive (for tests).
   int worker_count() const;
 
+  // Test seam: `hook` runs on a pool worker after it has taken a job and
+  // before it claims any task of it. nullptr (the default) removes it.
+  static void SetWorkerHookForTest(void (*hook)());
+
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;

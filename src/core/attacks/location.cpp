@@ -66,8 +66,7 @@ struct BestFraction {
 // Sweeps the +/- max_shift grid of one sample set against a candidate HSV
 // grid, updating `best` in place. `cov` (optional) gates candidate pixels;
 // shifts whose compared count ends below `min_compared` are ignored, as in
-// the exhaustive code. With opts.prune, shifts are visited best-first by a
-// decimated coarse pass (every 16th sample) and each evaluation carries the
+// the exhaustive code. With opts.prune, each evaluation carries the
 // incumbent into kernels::MatchHsvBounded, whose early-abandon bound is
 // exact - the final maximum is bit-identical to the exhaustive sweep.
 void SweepShifts(const Samples& samples, const imaging::ImageT<Hsv>& grid,
@@ -77,57 +76,22 @@ void SweepShifts(const Samples& samples, const imaging::ImageT<Hsv>& grid,
   if (samples.empty()) return;
   const kernels::HsvMatchParams params = ParamsOf(opts);
   const int step = std::max(1, opts.shift_step);
-
-  struct Shift {
-    std::int32_t dx, dy;
-    std::int32_t cm = 0, cc = 0;  // coarse score (visit ordering only)
-  };
-  std::vector<Shift> shifts;
   for (int dy = -opts.max_shift; dy <= opts.max_shift; dy += step) {
     for (int dx = -opts.max_shift; dx <= opts.max_shift; dx += step) {
-      shifts.push_back({dx, dy, 0, 0});
-    }
-  }
-
-  constexpr std::size_t kCoarseDecimation = 16;
-  if (opts.prune && samples.xs.size() >= 4 * kCoarseDecimation) {
-    // Coarse pass on a decimated sample set; order-only, so the maximum is
-    // untouched - good shifts just reach the incumbent sooner.
-    Samples coarse;
-    for (std::size_t i = 0; i < samples.xs.size(); i += kCoarseDecimation) {
-      coarse.xs.push_back(samples.xs[i]);
-      coarse.ys.push_back(samples.ys[i]);
-      coarse.hsv.push_back(samples.hsv[i]);
-    }
-    for (Shift& sh : shifts) {
+      // Only the maximum is reported, so a tie never needs to win: abandon
+      // as soon as strictly beating the incumbent is impossible.
       const kernels::WindowScore ws = kernels::MatchHsvBounded(
-          coarse.hsv, coarse.xs, coarse.ys, grid.pixels(), grid.width(),
-          grid.height(), cov, sh.dx, sh.dy, params, /*best_matched=*/0,
-          /*best_compared=*/0, /*tie_wins=*/false, /*min_compared=*/0);
-      sh.cm = ws.matched;
-      sh.cc = ws.compared;
+          samples.hsv, samples.xs, samples.ys, grid.pixels(), grid.width(),
+          grid.height(), cov, dx, dy, params, opts.prune ? best->m : 0,
+          opts.prune ? best->c : 0, /*tie_wins=*/false,
+          opts.prune ? min_compared : 0);
+      if (ws.abandoned) {
+        ++*shifts_abandoned;
+        continue;
+      }
+      if (ws.compared < min_compared) continue;
+      best->Offer(ws.matched, ws.compared);
     }
-    std::stable_sort(shifts.begin(), shifts.end(),
-                     [](const Shift& a, const Shift& b) {
-                       return kernels::FractionGreater(a.cm, a.cc, b.cm,
-                                                       b.cc);
-                     });
-  }
-
-  for (const Shift& sh : shifts) {
-    // Only the maximum is reported, so a tie never needs to win: abandon as
-    // soon as strictly beating the incumbent is impossible.
-    const kernels::WindowScore ws = kernels::MatchHsvBounded(
-        samples.hsv, samples.xs, samples.ys, grid.pixels(), grid.width(),
-        grid.height(), cov, sh.dx, sh.dy, params,
-        opts.prune ? best->m : 0, opts.prune ? best->c : 0,
-        /*tie_wins=*/false, opts.prune ? min_compared : 0);
-    if (ws.abandoned) {
-      ++*shifts_abandoned;
-      continue;
-    }
-    if (ws.compared < min_compared) continue;
-    best->Offer(ws.matched, ws.compared);
   }
 }
 

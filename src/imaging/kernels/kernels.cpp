@@ -1,20 +1,17 @@
-// Autovectorization-friendly implementation of the kernel catalog.
-//
-// Same per-element operations as the scalar reference, restructured so the
-// compiler's vectorizer gets straight-line bodies: predicates are computed
-// with bitwise & / | on 0-or-1 integers instead of short-circuit branches,
-// selects are arithmetic, and the bounded kernels process fixed chunks with
-// the abandon test only at chunk boundaries. Nothing here may change a
-// result bit: integer kernels are exact, float kernels apply the identical
-// per-element expressions in the identical order, and the only float sums
-// (MaskedAccumulateRgb) add integer-valued terms, which is exact in any
+// The kernel catalog (kernels.h). Bodies are straight-line for the
+// compiler's vectorizer: predicates are computed with bitwise & / | on
+// 0-or-1 integers instead of short-circuit branches, selects are
+// arithmetic, and the bounded kernels process fixed chunks with the abandon
+// test only at chunk boundaries. Integer kernels are exact, float kernels
+// apply fixed per-element expressions in a fixed order, and the only float
+// sums (MaskedAccumulateRgb) add integer-valued terms, which is exact in any
 // order.
 #include <algorithm>
 #include <cassert>
 
 #include "imaging/kernels/kernels.h"
 
-namespace bb::imaging::kernels::vec {
+namespace bb::imaging::kernels {
 
 namespace {
 
@@ -243,7 +240,7 @@ std::uint64_t SadRgb(std::span<const Rgb8> a, std::span<const Rgb8> b) {
 std::uint64_t SadRgbBounded(std::span<const Rgb8> a, std::span<const Rgb8> b,
                             std::uint64_t bound) {
   assert(a.size() == b.size());
-  constexpr std::size_t kChunk = 32;  // must match the scalar reference
+  constexpr std::size_t kChunk = 32;  // part of the contract (kernels.h)
   std::uint64_t sum = 0;
   for (std::size_t base = 0; base < a.size(); base += kChunk) {
     const std::size_t end = std::min(a.size(), base + kChunk);
@@ -372,7 +369,7 @@ std::size_t MaskedAccumulateRgb(std::span<const Rgb8> frame,
   assert(frame.size() == lb.size() && frame.size() == counts.size());
   // Branchless masked adds: the added term is 0 where lb is clear, and
   // adding 0.0 to these integer-valued sums is exact, so the result is
-  // bit-identical to the scalar skip-loop.
+  // bit-identical to skipping clear pixels.
   std::size_t leaked = 0;
   for (std::size_t p = 0; p < lb.size(); ++p) {
     const int keep = lb[p] != 0;
@@ -402,7 +399,7 @@ WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
   assert(grid.size() ==
          static_cast<std::size_t>(gw) * static_cast<std::size_t>(gh));
   assert(cov.empty() || cov.size() == grid.size());
-  constexpr std::size_t kChunk = 64;  // must match the scalar reference
+  constexpr std::size_t kChunk = 64;  // part of the contract (kernels.h)
   WindowScore ws;
   const std::size_t n = tmpl.size();
   for (std::size_t base = 0; base < n; base += kChunk) {
@@ -430,6 +427,10 @@ WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
     ws.matched += chunk_matched;
     ws.compared += chunk_compared;
     if (end == n) break;
+    // Optimistic completion: every remaining sample is compared and
+    // matches. (m + t) / (c + t) is nondecreasing in t for m <= c, so this
+    // is an exact upper bound on the final score; abandoning on it can
+    // never discard the incumbent-beating window (DESIGN.md section 15).
     const std::int64_t remaining = static_cast<std::int64_t>(n - end);
     const std::int64_t ub_m = ws.matched + remaining;
     const std::int64_t ub_c = ws.compared + remaining;
@@ -446,4 +447,4 @@ WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
   return ws;
 }
 
-}  // namespace bb::imaging::kernels::vec
+}  // namespace bb::imaging::kernels

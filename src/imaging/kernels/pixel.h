@@ -5,8 +5,7 @@
 // include nothing above it, and imaging/image.h / imaging/color.h re-export
 // these names (same bb::imaging namespace) so existing call sites are
 // unaffected. Everything here is a pure per-element function: no loops, no
-// accumulation, no allocation — the properties that make the scalar and
-// vector kernel implementations bit-identical.
+// accumulation, no allocation — the properties that keep the kernels exact.
 #pragma once
 
 #include <algorithm>

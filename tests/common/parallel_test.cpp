@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -152,6 +155,87 @@ TEST_F(ParallelTest, RepeatedJobsReuseThePool) {
     EXPECT_EQ(sum.load(), 256L * 255 / 2);
   }
   EXPECT_LE(ThreadPool::Instance().worker_count(), 4);
+}
+
+// Shared with the worker hook, which must be a plain function pointer.
+struct LateWorkerState {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::thread::id parked_worker;
+  bool parked = false;
+  bool released = false;
+  bool rejoined = false;
+  bool second_job_running = false;
+
+  template <typename Pred>
+  void WaitFor(Pred pred) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, pred);
+  }
+  void Set(bool* flag) {
+    std::lock_guard<std::mutex> lock(mu);
+    *flag = true;
+    cv.notify_all();
+  }
+};
+LateWorkerState* g_late = nullptr;
+
+// Parks the first worker that takes a job until released, and reports when
+// that worker takes a job again.
+void ParkFirstWorker() {
+  LateWorkerState& st = *g_late;
+  std::unique_lock<std::mutex> lock(st.mu);
+  if (!st.parked) {
+    st.parked = true;
+    st.parked_worker = std::this_thread::get_id();
+    st.cv.notify_all();
+    st.cv.wait(lock, [&] { return st.released; });
+  } else if (std::this_thread::get_id() == st.parked_worker) {
+    st.rejoined = true;
+    st.cv.notify_all();
+  }
+}
+
+// A worker delayed between taking a job and claiming a task must not claim
+// tasks of the next job once the first job completed without it.
+TEST_F(ParallelTest, WorkerThatTookAJobLateNeverRunsTheNextJobsTasks) {
+  LateWorkerState st;
+  g_late = &st;
+  ThreadPool::SetWorkerHookForTest(&ParkFirstWorker);
+  // More tasks than the pool has threads, so the second job still has
+  // unclaimed tasks while its running tasks block.
+  constexpr int kTasks = 512;
+  std::vector<std::atomic<int>> first_runs(kTasks), second_runs(kTasks);
+  // Both bodies outlive both jobs, so a task run by the wrong body shows up
+  // in the counts instead of as a crash.
+  const std::function<void(int)> first = [&](int i) {
+    if (i == 0) st.WaitFor([&] { return st.parked; });
+    first_runs[static_cast<std::size_t>(i)].fetch_add(1);
+  };
+  const std::function<void(int)> second = [&](int i) {
+    st.Set(&st.second_job_running);
+    st.WaitFor([&] { return st.rejoined; });
+    second_runs[static_cast<std::size_t>(i)].fetch_add(1);
+  };
+
+  ThreadPool& pool = ThreadPool::Instance();
+  // The first job completes while the worker that took it is parked...
+  pool.Run(2, kTasks, first);
+  // ...and the parked worker resumes only once the second job is running.
+  std::thread second_run([&] { pool.Run(2, kTasks, second); });
+  st.WaitFor([&] { return st.second_job_running; });
+  st.Set(&st.released);
+  second_run.join();
+  ThreadPool::SetWorkerHookForTest(nullptr);
+  g_late = nullptr;
+
+  int first_extra = 0, second_missing = 0;
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    first_extra += first_runs[i].load() - 1;
+    second_missing += second_runs[i].load() != 1;
+  }
+  EXPECT_EQ(first_extra, 0) << "tasks of the second job ran the first body";
+  EXPECT_EQ(second_missing, 0) << "tasks of the second job not run once";
 }
 
 }  // namespace

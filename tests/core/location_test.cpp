@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "imaging/draw.h"
-#include "imaging/kernels/kernels.h"
 #include "imaging/transform.h"
 #include "synth/scene.h"
 #include "synth/rng.h"
@@ -207,19 +206,6 @@ TEST(CrossCallMatchTest, PrunedEqualsExhaustive) {
   const auto me = MatchReconstructions(ra, ca, scene, cb, exhaustive);
   EXPECT_DOUBLE_EQ(mp.score, me.score);
   EXPECT_DOUBLE_EQ(mp.overlap, me.overlap);
-}
-
-TEST(LocationMatchTest, ScoreIsDispatchInvariant) {
-  const Image scene = Scene(9);
-  const auto [recon, coverage] = PartialRecon(scene, 0.4);
-  const Image candidate = imaging::Shift(scene, 4, 2);
-  const imaging::kernels::Dispatch saved = imaging::kernels::Active();
-  imaging::kernels::SetDispatchForTest(imaging::kernels::Dispatch::kScalar);
-  const double s = LocationMatchScore(recon, coverage, candidate);
-  imaging::kernels::SetDispatchForTest(imaging::kernels::Dispatch::kVector);
-  const double v = LocationMatchScore(recon, coverage, candidate);
-  imaging::kernels::SetDispatchForTest(saved);
-  EXPECT_DOUBLE_EQ(s, v);
 }
 
 TEST(RandomBaselineTest, MatchesKOverN) {

@@ -5,7 +5,6 @@
 #include "common/parallel.h"
 #include "common/trace.h"
 #include "imaging/draw.h"
-#include "imaging/kernels/kernels.h"
 #include "imaging/transform.h"
 #include "synth/rng.h"
 #include "synth/scene.h"
@@ -242,22 +241,16 @@ TEST(TemplateMatchTest, PrunedEqualsExhaustiveOnRandomizedCorpus) {
   }
 }
 
-TEST(TemplateMatchTest, ResultIsDispatchAndThreadCountInvariant) {
+TEST(TemplateMatchTest, ResultIsThreadCountInvariant) {
   const SceneFixture f;
   const Bitmap coverage(96, 72, imaging::kMaskSet);
   const TemplateMatchOptions opts = LooseOptions();
   const auto baseline = MatchTemplate(f.scene, coverage, f.templ, opts);
-  const imaging::kernels::Dispatch saved = imaging::kernels::Active();
-  for (const auto d : {imaging::kernels::Dispatch::kScalar,
-                       imaging::kernels::Dispatch::kVector}) {
-    imaging::kernels::SetDispatchForTest(d);
-    for (int threads : {1, 3, 8}) {
-      common::SetThreadCount(threads);
-      ExpectSameResult(MatchTemplate(f.scene, coverage, f.templ, opts),
-                       baseline, "dispatch/threads");
-    }
+  for (int threads : {1, 3, 8}) {
+    common::SetThreadCount(threads);
+    ExpectSameResult(MatchTemplate(f.scene, coverage, f.templ, opts),
+                     baseline, "threads");
   }
-  imaging::kernels::SetDispatchForTest(saved);
   common::SetThreadCount(0);
 }
 

@@ -1,61 +1,72 @@
-// Scalar reference implementation of the kernel catalog: the simplest
-// possible loops, the ground truth the vector implementation must match
-// bit-for-bit (tests/imaging/kernels_test.cpp runs the identity matrix).
+// Plain-loop reference for the kernel catalog (src/imaging/kernels/): the
+// simplest possible loop per primitive, the oracle kernels_test.cpp holds
+// the product bodies to bit for bit. LerpRgb, SplitRgb, MergeRgb,
+// RgbToHsvSpan and HueHistogramAccum have no entry: their product bodies
+// already are the plain loop, and their callers' tests and the golden
+// suite cover them.
+#pragma once
+
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 #include "imaging/kernels/kernels.h"
 
-namespace bb::imaging::kernels::scalar {
+namespace bb::imaging::kernels::reference {
 
-void MaskAnd(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-             std::span<std::uint8_t> out) {
+inline void MaskAnd(std::span<const std::uint8_t> a,
+                    std::span<const std::uint8_t> b,
+                    std::span<std::uint8_t> out) {
   assert(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = (a[i] && b[i]) ? kMaskSet : kMaskClear;
   }
 }
 
-void MaskOr(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-            std::span<std::uint8_t> out) {
+inline void MaskOr(std::span<const std::uint8_t> a,
+                   std::span<const std::uint8_t> b,
+                   std::span<std::uint8_t> out) {
   assert(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = (a[i] || b[i]) ? kMaskSet : kMaskClear;
   }
 }
 
-void MaskAndNot(std::span<const std::uint8_t> a,
-                std::span<const std::uint8_t> b, std::span<std::uint8_t> out) {
+inline void MaskAndNot(std::span<const std::uint8_t> a,
+                       std::span<const std::uint8_t> b,
+                       std::span<std::uint8_t> out) {
   assert(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = (a[i] && !b[i]) ? kMaskSet : kMaskClear;
   }
 }
 
-void MaskNot(std::span<const std::uint8_t> a, std::span<std::uint8_t> out) {
+inline void MaskNot(std::span<const std::uint8_t> a,
+                    std::span<std::uint8_t> out) {
   assert(a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = a[i] ? kMaskClear : kMaskSet;
   }
 }
 
-void MaskNor(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-             std::span<std::uint8_t> out) {
+inline void MaskNor(std::span<const std::uint8_t> a,
+                    std::span<const std::uint8_t> b,
+                    std::span<std::uint8_t> out) {
   assert(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = (!a[i] && !b[i]) ? kMaskSet : kMaskClear;
   }
 }
 
-std::size_t CountSet(std::span<const std::uint8_t> m) {
+inline std::size_t CountSet(std::span<const std::uint8_t> m) {
   std::size_t n = 0;
   for (std::uint8_t v : m) n += (v != 0);
   return n;
 }
 
-void CountAndOr(std::span<const std::uint8_t> a,
-                std::span<const std::uint8_t> b, std::uint64_t* inter,
-                std::uint64_t* uni) {
+inline void CountAndOr(std::span<const std::uint8_t> a,
+                       std::span<const std::uint8_t> b, std::uint64_t* inter,
+                       std::uint64_t* uni) {
   assert(a.size() == b.size());
   std::uint64_t in = 0, un = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -67,9 +78,9 @@ void CountAndOr(std::span<const std::uint8_t> a,
   *uni = un;
 }
 
-void CountMaskedPair(std::span<const std::uint8_t> region,
-                     std::span<const std::uint8_t> m, std::uint64_t* total,
-                     std::uint64_t* masked) {
+inline void CountMaskedPair(std::span<const std::uint8_t> region,
+                            std::span<const std::uint8_t> m,
+                            std::uint64_t* total, std::uint64_t* masked) {
   assert(region.size() == m.size());
   std::uint64_t t = 0, k = 0;
   for (std::size_t i = 0; i < region.size(); ++i) {
@@ -81,8 +92,8 @@ void CountMaskedPair(std::span<const std::uint8_t> region,
   *masked = k;
 }
 
-void SelectRgb(std::span<const std::uint8_t> m, std::span<const Rgb8> a,
-               std::span<const Rgb8> b, std::span<Rgb8> out) {
+inline void SelectRgb(std::span<const std::uint8_t> m, std::span<const Rgb8> a,
+                      std::span<const Rgb8> b, std::span<Rgb8> out) {
   assert(m.size() == a.size() && a.size() == b.size() &&
          b.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -90,24 +101,15 @@ void SelectRgb(std::span<const std::uint8_t> m, std::span<const Rgb8> a,
   }
 }
 
-void MaskToFloat(std::span<const std::uint8_t> m, std::span<float> out) {
+inline void MaskToFloat(std::span<const std::uint8_t> m, std::span<float> out) {
   assert(m.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = m[i] ? 1.0f : 0.0f;
   }
 }
 
-void LerpRgb(std::span<const Rgb8> a, std::span<const Rgb8> b,
-             std::span<const float> alpha, std::span<Rgb8> out) {
-  assert(a.size() == b.size() && a.size() == alpha.size() &&
-         a.size() == out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = Lerp(a[i], b[i], alpha[i]);
-  }
-}
-
-void AddSaturate(std::span<const Rgb8> a, std::span<const Rgb8> b,
-                 std::span<Rgb8> out) {
+inline void AddSaturate(std::span<const Rgb8> a, std::span<const Rgb8> b,
+                        std::span<Rgb8> out) {
   assert(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const int r = a[i].r + b[i].r;
@@ -119,8 +121,8 @@ void AddSaturate(std::span<const Rgb8> a, std::span<const Rgb8> b,
   }
 }
 
-void SubSaturate(std::span<const Rgb8> a, std::span<const Rgb8> b,
-                 std::span<Rgb8> out) {
+inline void SubSaturate(std::span<const Rgb8> a, std::span<const Rgb8> b,
+                        std::span<Rgb8> out) {
   assert(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const int r = a[i].r - b[i].r;
@@ -132,9 +134,9 @@ void SubSaturate(std::span<const Rgb8> a, std::span<const Rgb8> b,
   }
 }
 
-void MatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
-               std::span<const std::uint8_t> valid, int tolerance,
-               std::span<std::uint8_t> out) {
+inline void MatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
+                      std::span<const std::uint8_t> valid, int tolerance,
+                      std::span<std::uint8_t> out) {
   assert(frame.size() == ref.size() && frame.size() == out.size());
   assert(valid.empty() || valid.size() == frame.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -145,8 +147,9 @@ void MatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
   }
 }
 
-std::size_t MatchCountStrided(std::span<const Rgb8> a, std::span<const Rgb8> b,
-                              int tolerance, std::size_t stride) {
+inline std::size_t MatchCountStrided(std::span<const Rgb8> a,
+                                     std::span<const Rgb8> b, int tolerance,
+                                     std::size_t stride) {
   assert(a.size() == b.size() && stride >= 1);
   std::size_t matched = 0;
   for (std::size_t i = 0; i < a.size(); i += stride) {
@@ -155,18 +158,19 @@ std::size_t MatchCountStrided(std::span<const Rgb8> a, std::span<const Rgb8> b,
   return matched;
 }
 
-void ChangedUnion(std::span<const Rgb8> a, std::span<const Rgb8> b,
-                  int tolerance, std::span<std::uint8_t> accum) {
+inline void ChangedUnion(std::span<const Rgb8> a, std::span<const Rgb8> b,
+                         int tolerance, std::span<std::uint8_t> accum) {
   assert(a.size() == b.size() && a.size() == accum.size());
   for (std::size_t i = 0; i < accum.size(); ++i) {
     if (!NearlyEqual(a[i], b[i], tolerance)) accum[i] = kMaskSet;
   }
 }
 
-void CountClaimedVerified(std::span<const std::uint8_t> cov,
-                          std::span<const Rgb8> recon,
-                          std::span<const Rgb8> truth, int tolerance,
-                          std::uint64_t* claimed, std::uint64_t* verified) {
+inline void CountClaimedVerified(std::span<const std::uint8_t> cov,
+                                 std::span<const Rgb8> recon,
+                                 std::span<const Rgb8> truth, int tolerance,
+                                 std::uint64_t* claimed,
+                                 std::uint64_t* verified) {
   assert(cov.size() == recon.size() && cov.size() == truth.size());
   std::uint64_t c = 0, v = 0;
   for (std::size_t i = 0; i < cov.size(); ++i) {
@@ -178,8 +182,8 @@ void CountClaimedVerified(std::span<const std::uint8_t> cov,
   *verified = v;
 }
 
-void AbsDiffMax(std::span<const Rgb8> a, std::span<const Rgb8> b,
-                std::span<float> out) {
+inline void AbsDiffMax(std::span<const Rgb8> a, std::span<const Rgb8> b,
+                       std::span<float> out) {
   assert(a.size() == b.size() && a.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const int dr = std::abs(a[i].r - b[i].r);
@@ -189,7 +193,7 @@ void AbsDiffMax(std::span<const Rgb8> a, std::span<const Rgb8> b,
   }
 }
 
-std::uint64_t SadRgb(std::span<const Rgb8> a, std::span<const Rgb8> b) {
+inline std::uint64_t SadRgb(std::span<const Rgb8> a, std::span<const Rgb8> b) {
   assert(a.size() == b.size());
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -200,8 +204,9 @@ std::uint64_t SadRgb(std::span<const Rgb8> a, std::span<const Rgb8> b) {
   return sum;
 }
 
-std::uint64_t SadRgbBounded(std::span<const Rgb8> a, std::span<const Rgb8> b,
-                            std::uint64_t bound) {
+inline std::uint64_t SadRgbBounded(std::span<const Rgb8> a,
+                                   std::span<const Rgb8> b,
+                                   std::uint64_t bound) {
   assert(a.size() == b.size());
   constexpr std::size_t kChunk = 32;
   std::uint64_t sum = 0;
@@ -217,52 +222,25 @@ std::uint64_t SadRgbBounded(std::span<const Rgb8> a, std::span<const Rgb8> b,
   return sum;
 }
 
-void ThresholdGE(std::span<const float> in, float threshold,
-                 std::span<std::uint8_t> out) {
+inline void ThresholdGE(std::span<const float> in, float threshold,
+                        std::span<std::uint8_t> out) {
   assert(in.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = in[i] >= threshold ? kMaskSet : kMaskClear;
   }
 }
 
-void ThresholdLE(std::span<const float> in, float threshold,
-                 std::span<std::uint8_t> out) {
+inline void ThresholdLE(std::span<const float> in, float threshold,
+                        std::span<std::uint8_t> out) {
   assert(in.size() == out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = in[i] <= threshold ? kMaskSet : kMaskClear;
   }
 }
 
-void SplitRgb(std::span<const Rgb8> px, std::span<float> r, std::span<float> g,
-              std::span<float> b) {
-  assert(px.size() == r.size() && px.size() == g.size() &&
-         px.size() == b.size());
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    r[i] = px[i].r;
-    g[i] = px[i].g;
-    b[i] = px[i].b;
-  }
-}
-
-void MergeRgb(std::span<const float> r, std::span<const float> g,
-              std::span<const float> b, std::span<Rgb8> px) {
-  assert(px.size() == r.size() && px.size() == g.size() &&
-         px.size() == b.size());
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    px[i] = {ClampChannelU8(r[i]), ClampChannelU8(g[i]), ClampChannelU8(b[i])};
-  }
-}
-
-void RgbToHsvSpan(std::span<const Rgb8> px, std::span<Hsv> out) {
-  assert(px.size() == out.size());
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    out[i] = RgbToHsv(px[i]);
-  }
-}
-
-std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
-                                   std::span<const std::uint8_t> m,
-                                   std::span<std::uint64_t> counts) {
+inline std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
+                                          std::span<const std::uint8_t> m,
+                                          std::span<std::uint64_t> counts) {
   assert(px.size() == m.size());
   assert(counts.size() == static_cast<std::size_t>(kColorBucketCount));
   std::uint64_t total = 0;
@@ -274,32 +252,10 @@ std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
   return total;
 }
 
-std::uint64_t HueHistogramAccum(std::span<const Rgb8> px,
-                                std::span<const std::uint8_t> m,
-                                float min_saturation, float min_value,
-                                std::span<std::uint64_t> bins) {
-  assert(px.size() == m.size() && !bins.empty());
-  std::uint64_t total = 0;
-  const float nbins = static_cast<float>(bins.size());
-  for (std::size_t i = 0; i < px.size(); ++i) {
-    if (!m[i]) continue;
-    const Hsv hsv = RgbToHsv(px[i]);
-    if (hsv.s < min_saturation || hsv.v < min_value) continue;
-    // Hue binning wants the floor, not the nearest bin.
-    int bin = static_cast<int>(std::floor(hsv.h / 360.0f * nbins));
-    if (bin < 0) bin = 0;
-    if (bin >= static_cast<int>(bins.size())) {
-      bin = static_cast<int>(bins.size()) - 1;
-    }
-    ++bins[static_cast<std::size_t>(bin)];
-    ++total;
-  }
-  return total;
-}
-
-std::uint64_t MaskedSumRgb(std::span<const Rgb8> px,
-                           std::span<const std::uint8_t> m, std::uint64_t* r,
-                           std::uint64_t* g, std::uint64_t* b) {
+inline std::uint64_t MaskedSumRgb(std::span<const Rgb8> px,
+                                  std::span<const std::uint8_t> m,
+                                  std::uint64_t* r, std::uint64_t* g,
+                                  std::uint64_t* b) {
   assert(px.size() == m.size());
   std::uint64_t sr = 0, sg = 0, sb = 0, n = 0;
   for (std::size_t i = 0; i < px.size(); ++i) {
@@ -315,14 +271,15 @@ std::uint64_t MaskedSumRgb(std::span<const Rgb8> px,
   return n;
 }
 
-std::size_t MaskedAccumulateRgb(std::span<const Rgb8> frame,
-                                std::span<const std::uint8_t> lb,
-                                std::span<int> counts, std::span<double> sum_r,
-                                std::span<double> sum_g,
-                                std::span<double> sum_b,
-                                std::span<double> sum_r2,
-                                std::span<double> sum_g2,
-                                std::span<double> sum_b2) {
+inline std::size_t MaskedAccumulateRgb(std::span<const Rgb8> frame,
+                                       std::span<const std::uint8_t> lb,
+                                       std::span<int> counts,
+                                       std::span<double> sum_r,
+                                       std::span<double> sum_g,
+                                       std::span<double> sum_b,
+                                       std::span<double> sum_r2,
+                                       std::span<double> sum_g2,
+                                       std::span<double> sum_b2) {
   assert(frame.size() == lb.size() && frame.size() == counts.size());
   std::size_t leaked = 0;
   for (std::size_t p = 0; p < lb.size(); ++p) {
@@ -339,15 +296,17 @@ std::size_t MaskedAccumulateRgb(std::span<const Rgb8> frame,
   return leaked;
 }
 
-WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
-                            std::span<const std::int32_t> xs,
-                            std::span<const std::int32_t> ys,
-                            std::span<const Hsv> grid, std::int32_t gw,
-                            std::int32_t gh, std::span<const std::uint8_t> cov,
-                            std::int32_t dx, std::int32_t dy,
-                            const HsvMatchParams& p, std::int64_t best_matched,
-                            std::int64_t best_compared, bool tie_wins,
-                            std::int32_t min_compared) {
+inline WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
+                                   std::span<const std::int32_t> xs,
+                                   std::span<const std::int32_t> ys,
+                                   std::span<const Hsv> grid, std::int32_t gw,
+                                   std::int32_t gh,
+                                   std::span<const std::uint8_t> cov,
+                                   std::int32_t dx, std::int32_t dy,
+                                   const HsvMatchParams& p,
+                                   std::int64_t best_matched,
+                                   std::int64_t best_compared, bool tie_wins,
+                                   std::int32_t min_compared) {
   assert(tmpl.size() == xs.size() && tmpl.size() == ys.size());
   assert(grid.size() ==
          static_cast<std::size_t>(gw) * static_cast<std::size_t>(gh));
@@ -389,4 +348,4 @@ WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
   return ws;
 }
 
-}  // namespace bb::imaging::kernels::scalar
+}  // namespace bb::imaging::kernels::reference

@@ -6,26 +6,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/parallel.h"
+#include "kernels_reference.h"
 #include "synth/rng.h"
 
 namespace bb::imaging::kernels {
 namespace {
 
-// The contract under test (DESIGN.md section 15): the scalar reference and
-// the vectorization-friendly implementation are BIT-identical for every
-// primitive, at every span length (odd tails included) and thread count.
-// Each case runs the same inputs through scalar::* and vec::*, then through
-// the dispatching entry point under both SetDispatchForTest modes.
+// The contract under test (DESIGN.md section 15): every kernel is
+// BIT-identical to its plain-loop reference (kernels_reference.h) at every
+// span length, odd tails included. Each case runs the same inputs through
+// reference::* and the product kernel.
 
 // Lengths chosen to straddle the internal chunk sizes (32 for
 // SadRgbBounded, 64 for MatchHsvBounded) and exercise odd tails.
 constexpr std::size_t kLengths[] = {0, 1, 3, 31, 32, 33, 63, 64, 65, 127, 200};
-
-struct RestoreDispatch {
-  Dispatch saved = Active();
-  ~RestoreDispatch() { SetDispatchForTest(saved); }
-};
 
 std::vector<std::uint8_t> RandomMask(synth::Rng& rng, std::size_t n) {
   std::vector<std::uint8_t> m(n);
@@ -55,59 +49,54 @@ TEST(KernelIdentityTest, MaskCombinators) {
     const auto a = RandomMask(rng, n);
     const auto b = RandomMask(rng, n);
     std::vector<std::uint8_t> s(n), v(n);
-    scalar::MaskAnd(a, b, s);
-    vec::MaskAnd(a, b, v);
+    reference::MaskAnd(a, b, s);
+    MaskAnd(a, b, v);
     EXPECT_EQ(s, v) << "MaskAnd n=" << n;
-    scalar::MaskOr(a, b, s);
-    vec::MaskOr(a, b, v);
+    reference::MaskOr(a, b, s);
+    MaskOr(a, b, v);
     EXPECT_EQ(s, v) << "MaskOr n=" << n;
-    scalar::MaskAndNot(a, b, s);
-    vec::MaskAndNot(a, b, v);
+    reference::MaskAndNot(a, b, s);
+    MaskAndNot(a, b, v);
     EXPECT_EQ(s, v) << "MaskAndNot n=" << n;
-    scalar::MaskNot(a, s);
-    vec::MaskNot(a, v);
+    reference::MaskNot(a, s);
+    MaskNot(a, v);
     EXPECT_EQ(s, v) << "MaskNot n=" << n;
-    scalar::MaskNor(a, b, s);
-    vec::MaskNor(a, b, v);
+    reference::MaskNor(a, b, s);
+    MaskNor(a, b, v);
     EXPECT_EQ(s, v) << "MaskNor n=" << n;
-    EXPECT_EQ(scalar::CountSet(a), vec::CountSet(a)) << "CountSet n=" << n;
+    EXPECT_EQ(reference::CountSet(a), CountSet(a)) << "CountSet n=" << n;
     std::uint64_t si = 0, su = 0, vi = 0, vu = 0;
-    scalar::CountAndOr(a, b, &si, &su);
-    vec::CountAndOr(a, b, &vi, &vu);
+    reference::CountAndOr(a, b, &si, &su);
+    CountAndOr(a, b, &vi, &vu);
     EXPECT_EQ(si, vi);
     EXPECT_EQ(su, vu);
     std::uint64_t st = 0, sm = 0, vt = 0, vm = 0;
-    scalar::CountMaskedPair(a, b, &st, &sm);
-    vec::CountMaskedPair(a, b, &vt, &vm);
+    reference::CountMaskedPair(a, b, &st, &sm);
+    CountMaskedPair(a, b, &vt, &vm);
     EXPECT_EQ(st, vt);
     EXPECT_EQ(sm, vm);
   }
 }
 
-TEST(KernelIdentityTest, RgbSelectLerpSaturate) {
+TEST(KernelIdentityTest, RgbSelectAndSaturate) {
   synth::Rng rng(2);
   for (std::size_t n : kLengths) {
     const auto a = RandomPixels(rng, n);
     const auto b = RandomPixels(rng, n);
     const auto m = RandomMask(rng, n);
-    std::vector<float> alpha(n);
-    for (auto& t : alpha) t = static_cast<float>(rng.Uniform(-0.2, 1.2));
     std::vector<Rgb8> s(n), v(n);
-    scalar::SelectRgb(m, a, b, s);
-    vec::SelectRgb(m, a, b, v);
+    reference::SelectRgb(m, a, b, s);
+    SelectRgb(m, a, b, v);
     EXPECT_EQ(s, v) << "SelectRgb n=" << n;
-    scalar::LerpRgb(a, b, alpha, s);
-    vec::LerpRgb(a, b, alpha, v);
-    EXPECT_EQ(s, v) << "LerpRgb n=" << n;
-    scalar::AddSaturate(a, b, s);
-    vec::AddSaturate(a, b, v);
+    reference::AddSaturate(a, b, s);
+    AddSaturate(a, b, v);
     EXPECT_EQ(s, v) << "AddSaturate n=" << n;
-    scalar::SubSaturate(a, b, s);
-    vec::SubSaturate(a, b, v);
+    reference::SubSaturate(a, b, s);
+    SubSaturate(a, b, v);
     EXPECT_EQ(s, v) << "SubSaturate n=" << n;
     std::vector<float> sf(n), vf(n);
-    scalar::MaskToFloat(m, sf);
-    vec::MaskToFloat(m, vf);
+    reference::MaskToFloat(m, sf);
+    MaskToFloat(m, vf);
     EXPECT_EQ(sf, vf) << "MaskToFloat n=" << n;
   }
 }
@@ -130,25 +119,25 @@ TEST(KernelIdentityTest, ToleranceMatching) {
     const auto valid = RandomMask(rng, n);
     for (int tol : {0, 10, 255}) {
       std::vector<std::uint8_t> s(n), v(n);
-      scalar::MatchMask(a, b, valid, tol, s);
-      vec::MatchMask(a, b, valid, tol, v);
+      reference::MatchMask(a, b, valid, tol, s);
+      MatchMask(a, b, valid, tol, v);
       EXPECT_EQ(s, v) << "MatchMask n=" << n << " tol=" << tol;
-      scalar::MatchMask(a, b, {}, tol, s);
-      vec::MatchMask(a, b, {}, tol, v);
+      reference::MatchMask(a, b, {}, tol, s);
+      MatchMask(a, b, {}, tol, v);
       EXPECT_EQ(s, v) << "MatchMask(all) n=" << n << " tol=" << tol;
       for (std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
-        EXPECT_EQ(scalar::MatchCountStrided(a, b, tol, stride),
-                  vec::MatchCountStrided(a, b, tol, stride))
+        EXPECT_EQ(reference::MatchCountStrided(a, b, tol, stride),
+                  MatchCountStrided(a, b, tol, stride))
             << "MatchCountStrided n=" << n;
       }
       std::vector<std::uint8_t> sa(n, kMaskClear), va(n, kMaskClear);
-      scalar::ChangedUnion(a, b, tol, sa);
-      vec::ChangedUnion(a, b, tol, va);
+      reference::ChangedUnion(a, b, tol, sa);
+      ChangedUnion(a, b, tol, va);
       EXPECT_EQ(sa, va) << "ChangedUnion n=" << n;
       const auto cov = RandomMask(rng, n);
       std::uint64_t sc = 0, sv = 0, vc = 0, vv = 0;
-      scalar::CountClaimedVerified(cov, a, b, tol, &sc, &sv);
-      vec::CountClaimedVerified(cov, a, b, tol, &vc, &vv);
+      reference::CountClaimedVerified(cov, a, b, tol, &sc, &sv);
+      CountClaimedVerified(cov, a, b, tol, &vc, &vv);
       EXPECT_EQ(sc, vc);
       EXPECT_EQ(sv, vv);
     }
@@ -161,51 +150,26 @@ TEST(KernelIdentityTest, DiffAndThreshold) {
     const auto a = RandomPixels(rng, n);
     const auto b = RandomPixels(rng, n);
     std::vector<float> sf(n), vf(n);
-    scalar::AbsDiffMax(a, b, sf);
-    vec::AbsDiffMax(a, b, vf);
+    reference::AbsDiffMax(a, b, sf);
+    AbsDiffMax(a, b, vf);
     EXPECT_EQ(sf, vf) << "AbsDiffMax n=" << n;
-    EXPECT_EQ(scalar::SadRgb(a, b), vec::SadRgb(a, b)) << "SadRgb n=" << n;
+    EXPECT_EQ(reference::SadRgb(a, b), SadRgb(a, b)) << "SadRgb n=" << n;
     // Bounded SAD must agree even when abandoned: chunk boundaries are part
     // of the contract.
     for (std::uint64_t bound : {std::uint64_t{0}, std::uint64_t{500},
                                 std::uint64_t{1} << 40}) {
-      EXPECT_EQ(scalar::SadRgbBounded(a, b, bound),
-                vec::SadRgbBounded(a, b, bound))
+      EXPECT_EQ(reference::SadRgbBounded(a, b, bound),
+                SadRgbBounded(a, b, bound))
           << "SadRgbBounded n=" << n << " bound=" << bound;
     }
     const auto in = RandomFloats(rng, n);
     std::vector<std::uint8_t> s(n), v(n);
-    scalar::ThresholdGE(in, 128.0f, s);
-    vec::ThresholdGE(in, 128.0f, v);
+    reference::ThresholdGE(in, 128.0f, s);
+    ThresholdGE(in, 128.0f, v);
     EXPECT_EQ(s, v) << "ThresholdGE n=" << n;
-    scalar::ThresholdLE(in, 128.0f, s);
-    vec::ThresholdLE(in, 128.0f, v);
+    reference::ThresholdLE(in, 128.0f, s);
+    ThresholdLE(in, 128.0f, v);
     EXPECT_EQ(s, v) << "ThresholdLE n=" << n;
-  }
-}
-
-TEST(KernelIdentityTest, SplitMergeAndHsv) {
-  synth::Rng rng(5);
-  for (std::size_t n : kLengths) {
-    const auto px = RandomPixels(rng, n);
-    std::vector<float> sr(n), sg(n), sb(n), vr(n), vg(n), vb(n);
-    scalar::SplitRgb(px, sr, sg, sb);
-    vec::SplitRgb(px, vr, vg, vb);
-    EXPECT_EQ(sr, vr);
-    EXPECT_EQ(sg, vg);
-    EXPECT_EQ(sb, vb);
-    std::vector<Rgb8> sm(n), vm(n);
-    scalar::MergeRgb(sr, sg, sb, sm);
-    vec::MergeRgb(vr, vg, vb, vm);
-    EXPECT_EQ(sm, vm) << "MergeRgb n=" << n;
-    std::vector<Hsv> sh(n), vh(n);
-    scalar::RgbToHsvSpan(px, sh);
-    vec::RgbToHsvSpan(px, vh);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(sh[i].h, vh[i].h);
-      EXPECT_EQ(sh[i].s, vh[i].s);
-      EXPECT_EQ(sh[i].v, vh[i].v);
-    }
   }
 }
 
@@ -216,16 +180,12 @@ TEST(KernelIdentityTest, HistogramsAndAccumulators) {
     const auto m = RandomMask(rng, n);
     std::vector<std::uint64_t> sc(kColorBucketCount, 0),
         vc(kColorBucketCount, 0);
-    EXPECT_EQ(scalar::ColorBucketHistogram(px, m, sc),
-              vec::ColorBucketHistogram(px, m, vc));
+    EXPECT_EQ(reference::ColorBucketHistogram(px, m, sc),
+              ColorBucketHistogram(px, m, vc));
     EXPECT_EQ(sc, vc) << "ColorBucketHistogram n=" << n;
-    std::vector<std::uint64_t> sbins(360, 0), vbins(360, 0);
-    EXPECT_EQ(scalar::HueHistogramAccum(px, m, 0.2f, 0.1f, sbins),
-              vec::HueHistogramAccum(px, m, 0.2f, 0.1f, vbins));
-    EXPECT_EQ(sbins, vbins) << "HueHistogramAccum n=" << n;
     std::uint64_t s[3] = {0, 0, 0}, v[3] = {0, 0, 0};
-    EXPECT_EQ(scalar::MaskedSumRgb(px, m, &s[0], &s[1], &s[2]),
-              vec::MaskedSumRgb(px, m, &v[0], &v[1], &v[2]));
+    EXPECT_EQ(reference::MaskedSumRgb(px, m, &s[0], &s[1], &s[2]),
+              MaskedSumRgb(px, m, &v[0], &v[1], &v[2]));
     EXPECT_EQ(s[0], v[0]);
     EXPECT_EQ(s[1], v[1]);
     EXPECT_EQ(s[2], v[2]);
@@ -238,9 +198,9 @@ TEST(KernelIdentityTest, HistogramsAndAccumulators) {
       ssum[k].assign(n, 100.0);
       vsum[k].assign(n, 100.0);
     }
-    EXPECT_EQ(scalar::MaskedAccumulateRgb(px, m, scnt, ssum[0], ssum[1],
+    EXPECT_EQ(reference::MaskedAccumulateRgb(px, m, scnt, ssum[0], ssum[1],
                                           ssum[2], ssum[3], ssum[4], ssum[5]),
-              vec::MaskedAccumulateRgb(px, m, vcnt, vsum[0], vsum[1], vsum[2],
+              MaskedAccumulateRgb(px, m, vcnt, vsum[0], vsum[1], vsum[2],
                                        vsum[3], vsum[4], vsum[5]));
     EXPECT_EQ(scnt, vcnt);
     for (int k = 0; k < 6; ++k) EXPECT_EQ(ssum[k], vsum[k]);
@@ -302,20 +262,20 @@ TEST(KernelIdentityTest, MatchHsvBoundedIncludingAbandonedPartials) {
                             {1, 2, false, static_cast<std::int32_t>(n)}};
     for (const auto& bd : bounds) {
       for (int dx : {-3, 0, 5}) {
-        const WindowScore s = scalar::MatchHsvBounded(
+        const WindowScore s = reference::MatchHsvBounded(
             c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, dx, 2, params,
             bd.m, bd.cmp, bd.tie, bd.min_c);
-        const WindowScore v = vec::MatchHsvBounded(
+        const WindowScore v = MatchHsvBounded(
             c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, dx, 2, params,
             bd.m, bd.cmp, bd.tie, bd.min_c);
         EXPECT_EQ(s.matched, v.matched) << "n=" << n << " dx=" << dx;
         EXPECT_EQ(s.compared, v.compared) << "n=" << n << " dx=" << dx;
         EXPECT_EQ(s.abandoned, v.abandoned) << "n=" << n << " dx=" << dx;
         // Empty coverage means every in-bounds pixel is eligible.
-        const WindowScore s2 = scalar::MatchHsvBounded(
+        const WindowScore s2 = reference::MatchHsvBounded(
             c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, {}, dx, 2, params, bd.m,
             bd.cmp, bd.tie, bd.min_c);
-        const WindowScore v2 = vec::MatchHsvBounded(
+        const WindowScore v2 = MatchHsvBounded(
             c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, {}, dx, 2, params, bd.m,
             bd.cmp, bd.tie, bd.min_c);
         EXPECT_EQ(s2.matched, v2.matched);
@@ -353,51 +313,6 @@ TEST(KernelIdentityTest, MatchHsvBoundedAbandonmentIsExact) {
     }
   }
   EXPECT_GT(abandoned_seen, 0) << "bounds never triggered; test is vacuous";
-}
-
-TEST(KernelDispatchTest, EnvOverrideSelectsImplementation) {
-  RestoreDispatch restore;
-  SetDispatchForTest(Dispatch::kScalar);
-  EXPECT_EQ(Active(), Dispatch::kScalar);
-  EXPECT_STREQ(ToString(Active()), "scalar");
-  SetDispatchForTest(Dispatch::kVector);
-  EXPECT_EQ(Active(), Dispatch::kVector);
-  EXPECT_STREQ(ToString(Active()), "vector");
-}
-
-TEST(KernelDispatchTest, TopLevelMatchesBothBackendsAcrossThreadCounts) {
-  RestoreDispatch restore;
-  synth::Rng rng(9);
-  const std::size_t n = 127;
-  const auto a = RandomPixels(rng, n);
-  const auto b = RandomPixels(rng, n);
-  const auto m = RandomMask(rng, n);
-  const auto m2 = RandomMask(rng, n);
-  const HsvCase c(rng, n);
-  const HsvMatchParams params;
-  for (int threads = 1; threads <= 8; ++threads) {
-    // The kernels are thread-oblivious, but the dispatch atomic must hold
-    // steady while worker pools of every size are alive around it.
-    common::SetThreadCount(threads);
-    std::vector<std::uint8_t> out_s(n), out_v(n);
-    SetDispatchForTest(Dispatch::kScalar);
-    MaskAnd(m2, m, out_s);
-    const std::uint64_t sad_s = SadRgb(a, b);
-    const WindowScore ws_s = MatchHsvBounded(
-        c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, 2, 1, params, 3, 7,
-        false, 0);
-    SetDispatchForTest(Dispatch::kVector);
-    MaskAnd(m2, m, out_v);
-    const std::uint64_t sad_v = SadRgb(a, b);
-    const WindowScore ws_v = MatchHsvBounded(
-        c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, 2, 1, params, 3, 7,
-        false, 0);
-    EXPECT_EQ(out_s, out_v) << "threads=" << threads;
-    EXPECT_EQ(sad_s, sad_v) << "threads=" << threads;
-    EXPECT_EQ(ws_s.matched, ws_v.matched) << "threads=" << threads;
-    EXPECT_EQ(ws_s.compared, ws_v.compared) << "threads=" << threads;
-  }
-  common::SetThreadCount(0);
 }
 
 TEST(FractionCompareTest, CrossMultiplicationMatchesDoubles) {

@@ -14,8 +14,10 @@
 //     requeues) and kill -9 of the daemon itself is recovered on restart,
 //   * a SIGINT/SIGTERM'd `backbuster attack --stream --checkpoint` exits
 //     3 with a sealed checkpoint and resumes byte-identical.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/file.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -88,6 +90,33 @@ std::string ReadAll(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+// Everything this binary writes lives under one directory keyed on the pid,
+// so concurrently running test processes never share a path; the directory
+// is removed when the process exits.
+std::string TempPath(const std::string& name) {
+  struct Dir {
+    fs::path path = fs::temp_directory_path() /
+                    ("bb_daemon_" + std::to_string(::getpid()));
+    Dir() {
+      fs::remove_all(path);
+      fs::create_directories(path);
+    }
+    ~Dir() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return (dir.path / name).string();
+}
+
+// WriteImageAuto writes <base>.png when PNG support is built in and
+// <base>.ppm otherwise; reads whichever was written.
+std::string ReadImage(const std::string& base) {
+  const std::string png = base + ".png";
+  return ReadAll(fs::exists(png) ? png : base + ".ppm");
+}
+
 bool PollUntil(const std::function<bool()>& done, int timeout_ms) {
   const double until =
       trace::MonotonicSeconds() + static_cast<double>(timeout_ms) / 1000.0;
@@ -101,8 +130,7 @@ bool PollUntil(const std::function<bool()>& done, int timeout_ms) {
 // One simulated stream per fixture size, built once and shared read-only.
 const std::string& SmallStream() {
   static const std::string path = [] {
-    const std::string p =
-        (fs::temp_directory_path() / "bb_daemon_small.bbv").string();
+    const std::string p = TempPath("small.bbv");
     EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN +
                        "\" simulate --out " + p +
                        " --duration 2 --width 96 --height 72"
@@ -117,8 +145,7 @@ const std::string& SmallStream() {
 // lands mid-run, windowed small so many checkpoints seal along the way.
 const std::string& LongStream() {
   static const std::string path = [] {
-    const std::string p =
-        (fs::temp_directory_path() / "bb_daemon_long.bbv").string();
+    const std::string p = TempPath("long.bbv");
     EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN +
                        "\" simulate --out " + p + " --duration 12"
                        " > /dev/null 2>&1"),
@@ -134,25 +161,20 @@ std::string DirectReconstruction(const std::string& stream) {
   static std::map<std::string, std::string> cache;
   auto it = cache.find(stream);
   if (it != cache.end()) return it->second;
-  const std::string out =
-      (fs::temp_directory_path() / ("bb_daemon_direct_" +
-       std::to_string(cache.size()))).string();
+  const std::string out = TempPath("direct_" + std::to_string(cache.size()));
   EXPECT_EQ(RunShell(std::string("\"") + BACKBUSTER_BIN + "\" attack --in " +
                      stream + " --stream --out " + out +
                      " > /dev/null 2>&1"),
             0);
-  return cache.emplace(stream, ReadAll(out + ".png")).first->second;
+  return cache.emplace(stream, ReadImage(out)).first->second;
 }
 
 class DaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = (fs::temp_directory_path() /
-             ("bb_daemon_test_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name())))
-                .string();
+    root_ = TempPath(
+        std::string("test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(root_);
     out_dir_ = root_ + ".out";
     fs::remove_all(out_dir_);
@@ -230,8 +252,8 @@ TEST_F(DaemonTest, DrainedSpoolIsByteIdenticalToDirectAttack) {
 
   const std::string golden = DirectReconstruction(SmallStream());
   ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(ReadAll(OutBase("sharded") + ".png"), golden);
-  EXPECT_EQ(ReadAll(OutBase("single") + ".png"), golden);
+  EXPECT_EQ(ReadImage(OutBase("sharded")), golden);
+  EXPECT_EQ(ReadImage(OutBase("single")), golden);
 
   // Both records ended in done/ with a clean single attempt.
   const auto done = ListJobs(root_, kDoneDir);
@@ -336,7 +358,7 @@ TEST_F(DaemonTest, InjectedSpawnFaultIsRetriedOnTheRecordedSchedule) {
   EXPECT_EQ(job->attempts[1].delay_ms, BackoffDelayMs(job->spec, 1));
   EXPECT_EQ(job->attempts[1].exit_code, 0);
 
-  EXPECT_EQ(ReadAll(OutBase("spawnfault") + ".png"),
+  EXPECT_EQ(ReadImage(OutBase("spawnfault")),
             DirectReconstruction(SmallStream()));
 }
 
@@ -381,7 +403,7 @@ TEST_F(DaemonTest, KilledWorkerMidRangeRecoversByteIdentical) {
   ASSERT_GE(job->attempts.size(), 2u);
   EXPECT_EQ(job->attempts[0].exit_code, 137);
 
-  EXPECT_EQ(ReadAll(OutBase("killed_worker") + ".png"),
+  EXPECT_EQ(ReadImage(OutBase("killed_worker")),
             DirectReconstruction(LongStream()));
 }
 
@@ -512,7 +534,7 @@ TEST_F(DaemonTest, SigtermDrainsGracefullyAndRestartResumesByteIdentical) {
   EXPECT_EQ(daemon.stats().jobs_done, 1);
   const auto done = LoadJob(JobPath(root_, kDoneDir, id));
   ASSERT_TRUE(done.ok());
-  EXPECT_EQ(ReadAll(OutBase("drained") + ".png"),
+  EXPECT_EQ(ReadImage(OutBase("drained")),
             DirectReconstruction(LongStream()));
 }
 
@@ -540,15 +562,28 @@ TEST_F(DaemonTest, KillNineOfTheDaemonIsRecoveredOnRestart) {
           .string();
   ASSERT_TRUE(PollUntil([&] { return fs::exists(partial); }, 60000))
       << "orphaned worker never sealed its partial";
+  // The orphan also inherited the killed daemon's daemon.lock descriptor,
+  // so a restart is refused until it exits; wait for that too.
+  const std::string lock = (fs::path(root_) / "daemon.lock").string();
+  ASSERT_TRUE(PollUntil(
+      [&] {
+        const int fd = ::open(lock.c_str(), O_RDWR);
+        const bool free = fd >= 0 && ::flock(fd, LOCK_EX | LOCK_NB) == 0;
+        if (fd >= 0) ::close(fd);
+        return free;
+      },
+      60000))
+      << "orphaned worker never exited";
 
   // The record is still in running/ - the daemon died owning it. A
   // restart requeues and completes it.
   EXPECT_TRUE(fs::exists(running));
   Daemon daemon(Opts());
-  ASSERT_TRUE(daemon.Run().ok());
+  const Status run = daemon.Run();
+  ASSERT_TRUE(run.ok()) << run.ToString();
   EXPECT_EQ(daemon.stats().jobs_requeued, 1);
   EXPECT_EQ(daemon.stats().jobs_done, 1);
-  EXPECT_EQ(ReadAll(OutBase("kill9") + ".png"),
+  EXPECT_EQ(ReadImage(OutBase("kill9")),
             DirectReconstruction(LongStream()));
 }
 
@@ -596,7 +631,7 @@ TEST_F(DaemonTest, InterruptedStreamingAttackExitsThreeAndResumesIdentical) {
                      ck + " --out " + out + " > /dev/null 2>&1"),
             0);
   EXPECT_FALSE(fs::exists(ck)) << "checkpoint not removed on success";
-  EXPECT_EQ(ReadAll(out + ".png"), DirectReconstruction(LongStream()));
+  EXPECT_EQ(ReadImage(out), DirectReconstruction(LongStream()));
 }
 
 TEST_F(DaemonTest, HostileShardSpecIsAUsageErrorAtTheProcessBoundary) {

@@ -526,7 +526,7 @@ TEST(BblintFixtureFilesTest, MaterializationFixtureFiresUnderCorePathOnly) {
 
 TEST(BblintFixtureFilesTest, PerPixelLoopRuleIsPathGated) {
   // The same loop inside the kernel catalog is the sanctioned home...
-  EXPECT_TRUE(LintFile("src/imaging/kernels/kernels_scalar.cpp",
+  EXPECT_TRUE(LintFile("src/imaging/kernels/kernels.cpp",
                        FixturePath("per_pixel_loop.cpp"))
                   .empty());
   // ...and outside src/ (tests, tools, bench) the rule does not apply.

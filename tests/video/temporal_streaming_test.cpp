@@ -125,7 +125,9 @@ TEST(DetectLoopPeriodStreamingTest, MatchesBatchAcrossOptionVariants) {
     const auto streamed = DetectLoopPeriodStreaming(source, opts);
     ASSERT_EQ(streamed.has_value(), batch.has_value())
         << "max_period " << opts.max_period;
-    if (batch.has_value()) EXPECT_EQ(*streamed, *batch);
+    if (batch.has_value()) {
+      EXPECT_EQ(*streamed, *batch);
+    }
   }
 }
 

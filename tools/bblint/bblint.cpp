@@ -316,11 +316,11 @@ void CheckFullCallMaterialization(const FileView& v,
 // ---------------------------------------------------------------------------
 
 // The kernel catalog (src/imaging/kernels/) is the single home for flat
-// per-pixel loops, in a scalar reference and a vectorization-friendly twin
-// pinned bit-identical by test. A loop over a .pixels() span anywhere else
-// in src/ is either a migration candidate or a documented exception
-// (neighborhood access, multi-plane state machines, serialization) - it may
-// stay only with an allow() reason. Two shapes are recognized:
+// per-pixel loops, each pinned bit-identical to a test-side reference. A
+// loop over a .pixels() span anywhere else in src/ is either a migration
+// candidate or a documented exception (neighborhood access, multi-plane
+// state machines, serialization) - it may stay only with an allow()
+// reason. Two shapes are recognized:
 //   - a range-for directly over `<expr>.pixels()`;
 //   - an index for-loop bounded by `<id>.size()` where `<id>` was assigned
 //     from a .pixels() call earlier in the file.
@@ -357,8 +357,8 @@ void CheckPerPixelLoop(const FileView& v, std::vector<Finding>* out) {
     out->push_back(
         {v.path, static_cast<int>(i + 1), kRulePerPixelLoop,
          "per-pixel loop outside src/imaging/kernels/; move it into the "
-         "kernel catalog (both implementations, bit-identical) or keep it "
-         "with a reason: // bblint: allow(no-per-pixel-loop) -- <why>"});
+         "kernel catalog or keep it with a reason: "
+         "// bblint: allow(no-per-pixel-loop) -- <why>"});
   }
 }
 

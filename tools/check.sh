@@ -29,11 +29,10 @@
 #      pinned INVALID_JOB_RECORD reason, the daemon throughput gauges in
 #      the perf report (report_check --require-measured), and the service
 #      test label (spool/job-record units + supervised-daemon chaos)
-#   8. kernel smoke: the same CLI attack + location ranking under
-#      BB_KERNEL=vector and =scalar, pruned and --no-prune - all four
-#      reconstructions and rankings must be byte-identical - plus the
-#      kernel/pruning gauges in the perf report (report_check
-#      --require-measured) and the kernel/pruned-search test labels
+#   8. kernel smoke: the same CLI attack + location ranking in two
+#      variants, pruned and --no-prune - both reconstructions and rankings
+#      must be byte-identical - plus the pruning gauges in the perf report
+#      (report_check --require-measured) and the kernel/pruned-search tests
 #   9. ThreadSanitizer build, determinism / parallel-runtime suites
 #   10. UndefinedBehaviorSanitizer build, full ctest suite (minus
 #      bench-smoke: the benches are already covered by step 2 and would
@@ -46,6 +45,10 @@
 #      into a bb.bench.trajectory.v1 snapshot and print a one-line
 #      geomean time delta vs the newest committed bench/trajectory/
 #      BENCH_*.json (informational - speed PRs quote this line)
+#   14. green under load: print nproc, then run the determinism, golden,
+#      shard, chaos and service tests at -j 2*nproc, each up to three times
+#      (--repeat until-fail:3), so races between concurrently running
+#      tests and inside the thread pool fail the gate
 #
 # Usage: tools/check.sh [jobs]   (from the repo root; build dirs are
 # created as build-check, build-check-tsan, build-check-ubsan)
@@ -208,7 +211,7 @@ build-check/tools/report_check \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
 ctest --test-dir build-check --output-on-failure -j "$JOBS" -L service
 
-step "kernel smoke: dispatch + pruning cannot move the bits"
+step "kernel smoke: pruning cannot move the bits"
 KERNEL_DIR="build-check/kernel-smoke"
 mkdir -p "$KERNEL_DIR"
 build-check/apps/backbuster simulate --out "$KERNEL_DIR/call.bbv" \
@@ -218,32 +221,26 @@ build-check/apps/backbuster simulate --out "$KERNEL_DIR/decoy.bbv" \
   --truth-out "$KERNEL_DIR/decoy" > /dev/null
 TRUTH="$KERNEL_DIR/call.bbv.truth.ppm"
 LOCATE="$KERNEL_DIR/decoy.ppm,$TRUTH"
-# The same attack + location ranking under both kernel dispatches and both
-# search modes. Reconstruction bytes and ranked scores must be identical
-# in all four runs; only trace counters (diagnostics) may differ.
-for variant in vector_pruned vector_noprune scalar_pruned scalar_noprune; do
+# The same attack + location ranking in both search modes. Reconstruction
+# bytes and ranked scores must be identical in both runs; only trace
+# counters (diagnostics) may differ.
+for variant in pruned noprune; do
   case "$variant" in
-    vector_*) KERNEL=vector ;;
-    scalar_*) KERNEL=scalar ;;
+    pruned)  PRUNE_FLAGS="" ;;
+    noprune) PRUNE_FLAGS="--no-prune" ;;
   esac
-  case "$variant" in
-    *_pruned)  PRUNE_FLAGS="" ;;
-    *_noprune) PRUNE_FLAGS="--no-prune" ;;
-  esac
-  BB_KERNEL="$KERNEL" build-check/apps/backbuster attack \
+  build-check/apps/backbuster attack \
     --in "$KERNEL_DIR/call.bbv" --vb office --truth "$TRUTH" \
     --locate "$LOCATE" --out "$KERNEL_DIR/$variant" $PRUNE_FLAGS \
     | grep -E 'recovered|RBRR|score' > "$KERNEL_DIR/$variant.out"
 done
-BASE="$(ls "$KERNEL_DIR"/vector_pruned.p?? | head -n 1)"
-for variant in vector_noprune scalar_pruned scalar_noprune; do
-  cmp "$BASE" "${BASE/vector_pruned/$variant}"
-  diff "$KERNEL_DIR/vector_pruned.out" "$KERNEL_DIR/$variant.out"
-done
+BASE="$(ls "$KERNEL_DIR"/pruned.p?? | head -n 1)"
+cmp "$BASE" "${BASE/pruned/noprune}"
+diff "$KERNEL_DIR/pruned.out" "$KERNEL_DIR/noprune.out"
 # The true background must outrank the decoy.
-head -n 3 "$KERNEL_DIR/vector_pruned.out" | grep -q 'truth'
-# Kernel/pruning gauges live in the step-4 perf report (probes run
-# unfiltered there); the identity + speedup numbers must be present.
+head -n 3 "$KERNEL_DIR/pruned.out" | grep -q 'truth'
+# Pruning gauges live in the step-4 perf report (probes run unfiltered
+# there); the identity + speedup numbers must be present.
 build-check/tools/report_check \
   --require-measured 'match_template.exhaustive [s]' \
   --require-measured 'match_template.pruned [s]' \
@@ -251,8 +248,6 @@ build-check/tools/report_check \
   --require-measured 'location.exhaustive [s]' \
   --require-measured 'location.pruned [s]' \
   --require-measured location.prune_speedup \
-  --require-measured 'kernel.sad_rgb.scalar [s]' \
-  --require-measured 'kernel.sad_rgb.vector [s]' \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
 ctest --test-dir build-check --output-on-failure -j "$JOBS" \
       -R 'Kernel|kernels|Pruned'
@@ -292,5 +287,13 @@ if [ -n "$NEWEST" ]; then
 else
   echo "no committed bench/trajectory/BENCH_*.json yet - skipping delta"
 fi
+
+step "green under load: determinism/golden/shard/chaos/service at 2x nproc"
+NPROC="$(nproc 2>/dev/null || echo 1)"
+echo "nproc: $NPROC"
+ctest --test-dir build-check --output-on-failure -j "$((2 * NPROC))" \
+      --repeat until-fail:3 -R 'Determinism|Golden|^shard\.'
+ctest --test-dir build-check --output-on-failure -j "$((2 * NPROC))" \
+      --repeat until-fail:3 -L 'chaos|service'
 
 step "all checks passed"
