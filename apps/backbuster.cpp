@@ -29,6 +29,7 @@
 // Run any command with --help for its options.
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -536,30 +537,43 @@ int Attack(const cli::Args& args) {
                         locate_paths, no_prune);
   }
 
-  const auto call = video::LoadBbv(*in);
-  if (!call.ok()) return Fail(call.status().ToString());
-  std::printf("loaded %s: %d frames %dx%d @ %.1f fps\n", in->c_str(),
-              call->frame_count(), call->width(), call->height(),
-              call->fps());
+  // Batch path: load the call and reconstruct it in one window over the
+  // in-memory frames. The frames are dropped before the scoring and
+  // --locate steps, which load images of their own.
+  std::optional<core::ReconstructionResult> rec;
+  video::StreamInfo info;
+  {
+    const auto call = video::LoadBbv(*in);
+    if (!call.ok()) return Fail(call.status().ToString());
+    info = {call->width(), call->height(), call->frame_count(), call->fps()};
+    std::printf("loaded %s: %d frames %dx%d @ %.1f fps\n", in->c_str(),
+                info.frame_count, info.width, info.height, info.fps);
 
-  // Build the VB reference the way a real adversary would.
-  core::VbReference ref = core::VbReference::DeriveImage(*call);
-  if (stock) {
-    ref = core::VbReference::KnownImage(
-        vbg::MakeStockImage(*stock, call->width(), call->height()));
-    std::printf("using known stock VB '%s'\n", vb_name->c_str());
-  } else {
-    std::printf("derived VB from footage (%.1f%% of the frame)\n",
-                100.0 * ref.ValidFraction());
+    // Build the VB reference the way a real adversary would: match the
+    // named stock image, or derive the VB from the footage.
+    const core::VbReference ref =
+        stock ? core::VbReference::KnownImage(
+                    vbg::MakeStockImage(*stock, info.width, info.height))
+              : core::VbReference::DeriveImage(*call);
+    if (stock) {
+      std::printf("using known stock VB '%s'\n", vb_name->c_str());
+    } else {
+      std::printf("derived VB from footage (%.1f%% of the frame)\n",
+                  100.0 * ref.ValidFraction());
+    }
+
+    segmentation::ClassicalSegmenter segmenter;
+    core::StreamingOptions sopts;
+    sopts.window_frames = std::max(1, info.frame_count);
+    sopts.recon.phi = phi;
+    core::StreamingReconstructor reconstructor(ref, segmenter, sopts);
+    video::VideoStreamSource source(*call);
+    auto run = reconstructor.Run(source);
+    if (!run.ok()) return Fail(run.status().ToString());
+    rec = std::move(*run);
   }
-
-  segmentation::ClassicalSegmenter segmenter;
-  core::ReconstructionOptions opts;
-  opts.phi = phi;
-  core::Reconstructor reconstructor(ref, segmenter, opts);
-  const core::ReconstructionResult rec = reconstructor.Run(*call);
-  return FinishAttack(rec, call->width(), call->height(), truth_path,
-                      out_base, locate_paths, no_prune);
+  return FinishAttack(*rec, info.width, info.height, truth_path, out_base,
+                      locate_paths, no_prune);
 }
 
 // ---- reduce -----------------------------------------------------------------

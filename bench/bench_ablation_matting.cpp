@@ -83,7 +83,10 @@ int main() {
       const auto call = vbg::ApplyVirtualBackground(raw, vb, copts);
       const auto ref = core::VbReference::KnownImage(vb.image());
       segmentation::NoisyOracleSegmenter seg(raw.caller_masks, {}, 7);
-      core::Reconstructor rc(ref, seg);
+      const bool full_model = std::string(v.name) == "full model";
+      core::ReconstructionOptions opts;
+      opts.keep_frame_masks = full_model;  // for the VCM IoU below
+      core::Reconstructor rc(ref, seg, opts);
       const auto rec = rc.Run(call.video);
       const auto rbrr = core::Rbrr(rec, raw.true_background);
       const imaging::Bitmap leaks = LeakUnion(call);
@@ -94,15 +97,14 @@ int main() {
       const std::string key = std::string(ToString(action)) + "/" + v.name;
       report.Measured("rbrr " + key, rbrr.verified);
       report.Measured("true_leak " + key, true_leak);
-      if (std::string(v.name) == "full model") {
+      if (full_model) {
         // Where the leak goes: the caller mask's IoU with the true caller
         // on the middle frame, and the share of the true leak the attack
         // claims.
-        rc.PrepareCaller(call.video);
         const int mid = call.video.frame_count() / 2;
+        const auto at = static_cast<std::size_t>(mid);
         const double vcm_iou =
-            imaging::Iou(rc.Decompose(call.video, mid).vcm,
-                         raw.caller_masks[static_cast<std::size_t>(mid)]);
+            imaging::Iou(rec.frame_masks[at].vcm, raw.caller_masks[at]);
         const double leak_recall =
             true_leak > 0.0
                 ? imaging::SetFraction(imaging::And(rec.coverage, leaks)) /
@@ -115,7 +117,7 @@ int main() {
         report.Measured("leak_recall " + key, leak_recall);
       }
       if (action == synth::ActionKind::kArmWave) {
-        if (std::string(v.name) == "full model") {
+        if (full_model) {
           full_wave_rbrr = rbrr.verified;
         }
         if (std::string(v.name) == "- temporal lag") {

@@ -27,12 +27,14 @@ VbmrResult MeasureVbmr(const synth::RawRecording& raw,
 
   auto mean_vbmr = [&](const core::VbReference& ref) {
     segmentation::NoisyOracleSegmenter seg_local(raw.caller_masks, {}, 7);
-    core::Reconstructor rc(ref, seg_local);
-    rc.PrepareCaller(call.video);
+    core::ReconstructionOptions opts;
+    opts.keep_frame_masks = true;
+    core::Reconstructor rc(ref, seg_local, opts);
+    const core::ReconstructionResult rec = rc.Run(call.video);
     double sum = 0.0;
     for (int i = 0; i < call.video.frame_count(); ++i) {
-      const auto d = rc.Decompose(call.video, i);
-      sum += core::Vbmr(d, call.vb_regions[static_cast<std::size_t>(i)]);
+      sum += core::Vbmr(rec.frame_masks[static_cast<std::size_t>(i)],
+                        call.vb_regions[static_cast<std::size_t>(i)]);
     }
     return sum / call.video.frame_count();
   };

@@ -26,6 +26,9 @@
 //                the loader's checksum must catch)
 //     "spawn"  - attackd's worker-subprocess launcher, occurrence-keyed;
 //                any kind makes the spawn report failure
+//     "spill"  - the streaming core's mask-store spill file, occurrence-
+//                keyed over every record write and read-back; any kind
+//                fails that operation
 //     "spool"  - attackd's job-record loader, occurrence-keyed; kinds
 //                fail / truncate / corrupt, applied to the loaded bytes
 //

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/parallel.h"
 #include "common/trace.h"
 #include "imaging/kernels/kernels.h"
 #include "imaging/transform.h"
@@ -150,23 +151,29 @@ std::vector<RankedCandidate> RankLocations(
     }
   }
 
-  std::uint64_t shifts_abandoned = 0;
-  std::vector<RankedCandidate> ranking;
-  ranking.reserve(dictionary.size());
-  for (int d = 0; d < static_cast<int>(dictionary.size()); ++d) {
-    // Every candidate reports its own full score, so the incumbent resets
-    // per candidate and only spans its rotations.
-    BestFraction best;
-    if (enough_coverage) {
-      const auto grid = ToHsvGrid(dictionary[static_cast<std::size_t>(d)]);
-      for (const auto& samples : rotated_samples) {
-        SweepShifts(samples, grid, {}, opts, /*min_compared=*/1, &best,
-                    &shifts_abandoned);
-      }
-    }
-    ranking.push_back({d, best.score()});
-  }
+  // Candidates are scored in parallel. Every candidate reports its own full
+  // score, so it owns its incumbent (which resets per candidate and only
+  // spans its rotations), its output slot and its abandoned-shift count:
+  // scores, order and the abandoned total cannot depend on the schedule.
+  std::vector<RankedCandidate> ranking(dictionary.size());
+  std::vector<std::uint64_t> abandoned(dictionary.size(), 0);
+  common::ParallelFor(
+      0, static_cast<std::int64_t>(dictionary.size()), /*grain=*/1,
+      [&](std::int64_t d) {
+        const auto slot = static_cast<std::size_t>(d);
+        BestFraction best;
+        if (enough_coverage) {
+          const auto grid = ToHsvGrid(dictionary[slot]);
+          for (const auto& samples : rotated_samples) {
+            SweepShifts(samples, grid, {}, opts, /*min_compared=*/1, &best,
+                        &abandoned[slot]);
+          }
+        }
+        ranking[slot] = {static_cast<int>(d), best.score()};
+      });
   if (trace::Enabled()) {
+    std::uint64_t shifts_abandoned = 0;
+    for (const std::uint64_t n : abandoned) shifts_abandoned += n;
     trace::AddCounter("location.shifts_abandoned", shifts_abandoned);
   }
   std::stable_sort(ranking.begin(), ranking.end(),

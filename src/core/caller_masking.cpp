@@ -1,5 +1,7 @@
 #include "core/caller_masking.h"
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "imaging/color.h"
@@ -10,77 +12,47 @@ namespace bb::core {
 
 using imaging::Bitmap;
 
-CallerMasker::CallerMasker(segmentation::PersonSegmenter& segmenter,
-                           const CallerMaskingOptions& opts)
-    : segmenter_(segmenter),
-      opts_(opts),
-      color_counts_(imaging::kColorBucketCount, 0) {}
+CallerColorCounts::CallerColorCounts()
+    : counts(imaging::kColorBucketCount, 0) {}
 
-void CallerMasker::Prepare(const video::VideoStream& call) {
-  BeginPrepare();
-  for (int i = 0; i < call.frame_count(); ++i) {
-    Bitmap mask = segmenter_.SegmentBatch(call, i);
-    AccumulateStats(call.frame(i), mask);
-    raw_masks_.push_back(std::move(mask));
-  }
-  EndPrepare();
-  prepared_ = true;
+void CallerColorCounts::Add(const imaging::Image& frame,
+                            const imaging::Bitmap& mask) {
+  total += imaging::kernels::ColorBucketHistogram(frame.pixels(),
+                                                  mask.pixels(), counts);
 }
+
+void CallerColorCounts::Add(const CallerColorCounts& other) {
+  std::transform(counts.begin(), counts.end(), other.counts.begin(),
+                 counts.begin(), std::plus<>());
+  total += other.total;
+}
+
+CallerMasker::CallerMasker(const CallerMaskingOptions& opts) : opts_(opts) {}
 
 void CallerMasker::BeginPrepare() {
-  raw_masks_.clear();
-  std::fill(color_counts_.begin(), color_counts_.end(), 0);
-  color_total_ = 0;
+  colors_ = CallerColorCounts();
   stats_ready_ = false;
-  prepared_ = false;
 }
 
-Bitmap CallerMasker::PushPrepare(const imaging::Image& frame,
-                                 int frame_index) {
-  Bitmap mask = segmenter_.Segment(frame, frame_index);
-  AccumulateStats(frame, mask);
-  return mask;
-}
+void CallerMasker::Fold(const CallerColorCounts& shard) { colors_.Add(shard); }
 
 void CallerMasker::EndPrepare() { stats_ready_ = true; }
-
-void CallerMasker::AccumulateStats(const imaging::Image& frame,
-                                   const imaging::Bitmap& mask) {
-  color_total_ += imaging::kernels::ColorBucketHistogram(
-      frame.pixels(), mask.pixels(), color_counts_);
-}
-
-const Bitmap& CallerMasker::RawSegmenterMask(int frame_index) const {
-  if (!prepared_) throw std::logic_error("CallerMasker: not prepared");
-  return raw_masks_.at(static_cast<std::size_t>(frame_index));
-}
-
-Bitmap CallerMasker::Vcm(const video::VideoStream& call,
-                         int frame_index) const {
-  if (!prepared_) throw std::logic_error("CallerMasker: not prepared");
-  return Refine(call.frame(frame_index),
-                raw_masks_.at(static_cast<std::size_t>(frame_index)));
-}
-
-Bitmap CallerMasker::Vcm(const imaging::Image& frame, int frame_index) const {
-  return Refine(frame, segmenter_.Segment(frame, frame_index));
-}
 
 Bitmap CallerMasker::Refine(const imaging::Image& frame,
                             const imaging::Bitmap& raw) const {
   if (!stats_ready_) throw std::logic_error("CallerMasker: not prepared");
   Bitmap vcm = raw;
-  if (color_total_ == 0 || opts_.rare_color_frequency <= 0.0) return vcm;
+  if (colors_.total == 0 || opts_.rare_color_frequency <= 0.0) return vcm;
 
   // Only the uncertain boundary band is eligible for flipping.
   const Bitmap core = imaging::ErodeDisc(raw, opts_.protect_core_px);
 
   const double threshold =
-      opts_.rare_color_frequency * static_cast<double>(color_total_);
+      opts_.rare_color_frequency * static_cast<double>(colors_.total);
   for (int y = 0; y < vcm.height(); ++y) {
     for (int x = 0; x < vcm.width(); ++x) {
       if (!vcm(x, y) || core(x, y)) continue;
-      const auto count = color_counts_[static_cast<std::size_t>(
+      const auto count = colors_.counts[static_cast<std::size_t>(
           imaging::ColorBucket(frame(x, y)))];
       if (static_cast<double>(count) < threshold) {
         vcm(x, y) = imaging::kMaskClear;

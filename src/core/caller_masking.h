@@ -9,14 +9,19 @@
 // whenever it leaks, while true caller-boundary pixels vary as the caller
 // moves - so leak colors are rare *within* the caller region but
 // persistent, and statistically contrast with the caller's palette.
+//
+// CallerMasker holds only the call-wide color model and the refinement.
+// The streaming core's caller pass (core/streaming.h) runs the segmenter
+// once per frame, in parallel over each window: every frame shard counts
+// its colors into its own CallerColorCounts, the shards fold into the
+// masker in shard order, and the raw masks wait in a MaskStore
+// (core/mask_store.h) until the decomposition pass refines them.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "imaging/image.h"
-#include "segmentation/segmenter.h"
-#include "video/video.h"
 
 namespace bb::core {
 
@@ -30,54 +35,39 @@ struct CallerMaskingOptions {
   double protect_core_px = 4.0;
 };
 
+// Integer color-bucket counts of the pixels a segmenter kept as caller.
+// Integer counts add exactly in any order, so per-shard counts fold into
+// the same color model at any thread count.
+struct CallerColorCounts {
+  std::vector<std::uint64_t> counts;
+  std::uint64_t total = 0;
+
+  CallerColorCounts();
+  // Counts the colors of `frame` under `mask`.
+  void Add(const imaging::Image& frame, const imaging::Bitmap& mask);
+  // Element-wise `this += other`.
+  void Add(const CallerColorCounts& other);
+};
+
 class CallerMasker {
  public:
-  // The segmenter is shared, not owned; it must outlive the masker.
-  CallerMasker(segmentation::PersonSegmenter& segmenter,
-               const CallerMaskingOptions& opts = {});
+  explicit CallerMasker(const CallerMaskingOptions& opts = {});
 
-  // Precomputes segmenter masks and the color-frequency statistics for the
-  // call. Must be called before Vcm(). (Batch form; retains every raw mask.)
-  void Prepare(const video::VideoStream& call);
-
-  // Refined video-caller mask for frame i.
-  imaging::Bitmap Vcm(const video::VideoStream& call, int frame_index) const;
-
-  // Raw (unrefined) segmenter output for frame i (for ablations).
-  const imaging::Bitmap& RawSegmenterMask(int frame_index) const;
-
-  // Streaming preparation: color statistics accumulate over one in-order
-  // pass of frames with O(1) state - raw masks are NOT retained (the caller
-  // may cache the returned mask). The segmenter's analysis passes, if any,
-  // must have run before BeginPrepare().
+  // Call-wide color statistics: BeginPrepare(), then Fold() every frame
+  // shard's counts, then EndPrepare(). Refine() is usable afterwards.
   void BeginPrepare();
-  // Segments `frame`, folds the mask into the color statistics, and returns
-  // the raw mask.
-  imaging::Bitmap PushPrepare(const imaging::Image& frame, int frame_index);
+  void Fold(const CallerColorCounts& shard);
   void EndPrepare();
 
-  // Refines a raw segmenter mask into the VCM for `frame` using the
-  // statistics from Prepare()/Begin..EndPrepare(). Thread-safe once
-  // preparation is complete; Vcm() is a lookup into the retained masks plus
-  // this refinement.
+  // Refines a raw segmenter mask into the VCM for `frame`. Thread-safe once
+  // preparation is complete; std::logic_error before.
   imaging::Bitmap Refine(const imaging::Image& frame,
                          const imaging::Bitmap& raw) const;
 
-  // Segments + refines one frame (the streaming reconstruct path when raw
-  // masks were not cached).
-  imaging::Bitmap Vcm(const imaging::Image& frame, int frame_index) const;
-
  private:
-  void AccumulateStats(const imaging::Image& frame,
-                       const imaging::Bitmap& mask);
-
-  segmentation::PersonSegmenter& segmenter_;
   CallerMaskingOptions opts_;
-  std::vector<imaging::Bitmap> raw_masks_;
-  std::vector<std::uint64_t> color_counts_;
-  std::uint64_t color_total_ = 0;
-  bool stats_ready_ = false;  // Refine() usable (streaming or batch)
-  bool prepared_ = false;     // raw masks retained (batch only)
+  CallerColorCounts colors_;
+  bool stats_ready_ = false;
 };
 
 }  // namespace bb::core

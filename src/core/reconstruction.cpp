@@ -4,76 +4,26 @@
 
 #include "common/trace.h"
 #include "core/streaming.h"
-#include "imaging/kernels/kernels.h"
 
 namespace bb::core {
-
-using imaging::Bitmap;
-using imaging::Image;
 
 Reconstructor::Reconstructor(const VbReference& reference,
                              segmentation::PersonSegmenter& segmenter,
                              const ReconstructionOptions& opts)
-    : reference_(reference),
-      segmenter_(segmenter),
-      caller_masker_(segmenter, opts.caller),
-      opts_(opts) {}
-
-void Reconstructor::PrepareCaller(const video::VideoStream& call) {
-  const trace::ScopedTimer timer("reconstruct.caller_prepare");
-  caller_masker_.Prepare(call);
-  caller_prepared_ = true;
-}
-
-FrameDecomposition Reconstructor::Decompose(const video::VideoStream& call,
-                                            int frame_index) const {
-  const Image& frame = call.frame(frame_index);
-  FrameDecomposition d;
-  {
-    const trace::ScopedTimer timer("reconstruct.vbm");
-    d.vbm = ComputeVbm(frame,
-                       reference_.ImageFor(frame, frame_index, opts_.vb),
-                       reference_.ValidFor(frame, frame_index, opts_.vb),
-                       opts_.vb.match_tolerance);
-  }
-  {
-    const trace::ScopedTimer timer("reconstruct.bbm");
-    d.bbm = ComputeBbm(d.vbm, opts_.phi);
-  }
-  {
-    const trace::ScopedTimer timer("reconstruct.vcm");
-    d.vcm = caller_masker_.Vcm(call, frame_index);
-  }
-  {
-    const trace::ScopedTimer timer("reconstruct.lb");
-    // LB = residue after removing the three components.
-    d.lb = Bitmap(frame.width(), frame.height());
-    imaging::kernels::MaskNor(d.bbm.pixels(), d.vcm.pixels(), d.lb.pixels());
-  }
-  if (trace::Enabled()) {
-    // Per-stage masked-pixel volumes; summed per frame, so the totals are
-    // independent of how the frame loop is sharded across threads.
-    trace::AddCounter("reconstruct.frames_decomposed", 1);
-    trace::AddCounter("reconstruct.pixels.vbm", imaging::CountSet(d.vbm));
-    trace::AddCounter("reconstruct.pixels.bbm", imaging::CountSet(d.bbm));
-    trace::AddCounter("reconstruct.pixels.vcm", imaging::CountSet(d.vcm));
-    trace::AddCounter("reconstruct.pixels.lb", imaging::CountSet(d.lb));
-  }
-  return d;
-}
+    : reference_(reference), segmenter_(segmenter), opts_(opts) {}
 
 ReconstructionResult Reconstructor::Run(const video::VideoStream& call) {
   const trace::ScopedTimer run_timer("reconstruct.run");
   // Window = call length, so the single flush shards the frame range exactly
-  // like the pre-streaming frame loop and the raw segmenter masks are cached
-  // (one segmentation per frame, as before).
+  // like the pre-streaming frame loop.
   StreamingOptions sopts;
   sopts.window_frames = std::max(1, call.frame_count());
   sopts.recon = opts_;
   StreamingReconstructor streaming(reference_, segmenter_, sopts);
   video::VideoStreamSource source(call);
   // An in-memory source never yields a bad pull and no budget/checkpoint is
-  // configured, so the streaming run cannot fail here.
+  // configured; the one failure left, a mask-store spill error, throws from
+  // value().
   return streaming.Run(source).value();
 }
 

@@ -15,6 +15,7 @@
 #include "core/caller_masking.h"
 #include "core/vb_masking.h"
 #include "imaging/image.h"
+#include "segmentation/segmenter.h"
 #include "video/video.h"
 
 namespace bb::core {
@@ -72,18 +73,10 @@ class Reconstructor {
                 segmentation::PersonSegmenter& segmenter,
                 const ReconstructionOptions& opts = {});
 
-  // Precomputes the caller-masking state for `call` (Run() does this
-  // implicitly; call it directly when only using Decompose()).
-  void PrepareCaller(const video::VideoStream& call);
-
-  // Decomposes a single frame (VBM/BBM/VCM/LB). Requires PrepareCaller()
-  // or Run() to have processed the call first.
-  FrameDecomposition Decompose(const video::VideoStream& call,
-                               int frame_index) const;
-
   // Full pipeline over every frame of the call. Thin batch-compat wrapper
   // over the streaming core (streaming.h) with window = call length, which
-  // makes it bit-identical to the pre-streaming implementation.
+  // makes it bit-identical to the pre-streaming implementation. Per-frame
+  // decompositions come back with opts.keep_frame_masks.
   ReconstructionResult Run(const video::VideoStream& call);
 
   const ReconstructionOptions& options() const { return opts_; }
@@ -91,9 +84,7 @@ class Reconstructor {
  private:
   const VbReference& reference_;
   segmentation::PersonSegmenter& segmenter_;
-  CallerMasker caller_masker_;
   ReconstructionOptions opts_;
-  bool caller_prepared_ = false;
 };
 
 }  // namespace bb::core

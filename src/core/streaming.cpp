@@ -16,12 +16,32 @@ namespace bb::core {
 using imaging::Bitmap;
 using imaging::Image;
 
+namespace {
+
+// A mask-store failure inside the push protocol. Run()/RunPartial() turn it
+// back into its status; push-protocol callers see a std::runtime_error.
+class MaskStoreFailure : public std::runtime_error {
+ public:
+  explicit MaskStoreFailure(Status status)
+      : std::runtime_error(status.ToString()), status_(std::move(status)) {}
+  const Status& status() const { return status_; }
+
+ private:
+  Status status_;
+};
+
+void ThrowIfFailed(const Status& status) {
+  if (!status.ok()) throw MaskStoreFailure(status);
+}
+
+}  // namespace
+
 StreamingReconstructor::StreamingReconstructor(
     const VbReference& reference, segmentation::PersonSegmenter& segmenter,
     const StreamingOptions& opts)
     : reference_(reference),
       segmenter_(segmenter),
-      masker_(segmenter, opts.recon.caller),
+      masker_(opts.recon.caller),
       opts_(opts) {
   if (opts_.window_frames < 1) {
     throw std::invalid_argument("StreamingReconstructor: window_frames < 1");
@@ -68,15 +88,13 @@ void StreamingReconstructor::Begin(const video::StreamInfo& info) {
     result_.frame_masks.resize(static_cast<std::size_t>(frames));
   }
 
-  cache_raw_masks_ = opts_.window_frames >= frames;
-  raw_cache_.clear();
   window_.emplace(std::min(opts_.window_frames, std::max(1, frames)));
   window_ids_.clear();
+  slot_runs_.assign(static_cast<std::size_t>(window_->capacity()), {});
   pool_ = video::BufferPool();
   shards_.clear();
   stats_ = StreamingStats{};
   stats_.window_capacity = window_->capacity();
-  stats_.raw_masks_cached = cache_raw_masks_;
 
   // Decomposition slice of this worker: the i-th of N equal ranges in
   // shard mode, the whole stream otherwise.
@@ -173,10 +191,8 @@ void StreamingReconstructor::BeginPass(int pass) {
     segmenter_.BeginAnalysisPass(pass, info_);
   } else if (pass == analysis_passes_) {
     masker_.BeginPrepare();
-    if (cache_raw_masks_) {
-      raw_cache_.assign(static_cast<std::size_t>(info_.frame_count),
-                        Bitmap());
-    }
+    masks_.Clear();
+    caller_shards_.clear();
     caller_timer_.emplace("reconstruct.caller_prepare");
   } else {
     accumulate_timer_.emplace("reconstruct.accumulate");
@@ -199,16 +215,16 @@ bool StreamingReconstructor::SkipFrame(int frame_index) const {
   // Frames outside [decomp_begin_, shard_end_) contribute nothing to the
   // decomposition pass: below decomp_begin_ they are already decomposed
   // into resume_base_ or belong to an earlier shard, at or above
-  // shard_end_ they belong to a later shard. The cheap analysis/caller
+  // shard_end_ they belong to a later shard. The analysis and caller
   // passes still see them (their state is rebuilt fresh on every worker).
   return current_pass_ == analysis_passes_ + 1 &&
-         (frame_index < decomp_begin_ || frame_index >= shard_end_);
+         !InDecompositionRange(frame_index);
 }
 
 void StreamingReconstructor::PushFrame(const Image& frame, int frame_index) {
   CheckOrder(frame_index);
   if (SkipFrame(frame_index)) return;
-  if (current_pass_ == analysis_passes_ + 1) {
+  if (Windowed()) {
     Image buffer = pool_.AcquireImage(info_.width, info_.height);
     const auto src = frame.pixels();
     const auto dst = buffer.pixels();
@@ -216,18 +232,11 @@ void StreamingReconstructor::PushFrame(const Image& frame, int frame_index) {
     PushWindowed(std::move(buffer), frame_index);
     return;
   }
-  if (current_pass_ < analysis_passes_) {
-    segmenter_.PushAnalysisFrame(current_pass_, frame, frame_index);
-  } else {
-    Bitmap raw = masker_.PushPrepare(frame, frame_index);
-    if (cache_raw_masks_) {
-      raw_cache_[static_cast<std::size_t>(frame_index)] = std::move(raw);
-    }
-  }
+  segmenter_.PushAnalysisFrame(current_pass_, frame, frame_index);
 }
 
 void StreamingReconstructor::PushFrame(Image&& frame, int frame_index) {
-  if (current_pass_ == analysis_passes_ + 1) {
+  if (Windowed()) {
     CheckOrder(frame_index);
     if (SkipFrame(frame_index)) {
       // Recycle the caller's buffer; the frame contributes nothing.
@@ -290,15 +299,57 @@ std::vector<int> StreamingReconstructor::QuarantinedFrames() const {
 }
 
 void StreamingReconstructor::PushWindowed(Image frame, int frame_index) {
-  ++stats_.frames_pushed;
+  if (current_pass_ == analysis_passes_ + 1) ++stats_.frames_pushed;
   window_ids_.push_back(frame_index);
   pool_.Release(window_->Push(std::move(frame)));
   if (window_->size() == window_->capacity()) FlushWindow();
 }
 
 void StreamingReconstructor::FlushWindow() {
+  if (window_->size() == 0) return;
+  if (current_pass_ == analysis_passes_) {
+    SegmentWindow();
+  } else {
+    DecomposeWindow();
+  }
+  window_->Clear(&pool_);
+  window_ids_.clear();
+}
+
+void StreamingReconstructor::SegmentWindow() {
   const int count = window_->size();
-  if (count == 0) return;
+  const int first = window_->first_index();
+  const auto needed = static_cast<std::size_t>(common::NumShards(count));
+  if (caller_shards_.size() < needed) caller_shards_.resize(needed);
+
+  // Segment() dominates the caller pass, and this is the only place it
+  // runs. Each thread shard counts colors into its own integer histogram
+  // (exact in any order) and encodes its frames' masks into their own
+  // slots; the masks then go into the store serially, in frame order.
+  common::ParallelShards(
+      0, count, /*grain=*/1,
+      [&](int shard, std::int64_t shard_begin, std::int64_t shard_end) {
+        CallerColorCounts& colors =
+            caller_shards_[static_cast<std::size_t>(shard)];
+        for (std::int64_t k = shard_begin; k < shard_end; ++k) {
+          const auto slot = static_cast<std::size_t>(k);
+          const int fi = window_ids_[slot];
+          const Image& frame = window_->at(first + static_cast<int>(k));
+          const Bitmap raw = segmenter_.Segment(frame, fi);
+          colors.Add(frame, raw);
+          if (InDecompositionRange(fi)) EncodeMaskRuns(raw, &slot_runs_[slot]);
+        }
+      });
+  for (int k = 0; k < count; ++k) {
+    const auto slot = static_cast<std::size_t>(k);
+    if (InDecompositionRange(window_ids_[slot])) {
+      ThrowIfFailed(masks_.Put(window_ids_[slot], slot_runs_[slot]));
+    }
+  }
+}
+
+void StreamingReconstructor::DecomposeWindow() {
+  const int count = window_->size();
   ++stats_.window_flushes;
 
   const int first = window_->first_index();
@@ -308,6 +359,11 @@ void StreamingReconstructor::FlushWindow() {
     LeakShard fresh;
     fresh.acc.Zero(pixels_);
     shards_.push_back(std::move(fresh));
+  }
+  // The store hands masks out serially, in frame order.
+  for (int k = 0; k < count; ++k) {
+    const auto slot = static_cast<std::size_t>(k);
+    ThrowIfFailed(masks_.Take(window_ids_[slot], &slot_runs_[slot]));
   }
 
   // Decomposition dominates the pipeline cost; shard the resident frame
@@ -323,8 +379,9 @@ void StreamingReconstructor::FlushWindow() {
         LeakAccumulators& a = s.acc;
         for (std::int64_t k = shard_begin; k < shard_end; ++k) {
           const int wi = first + static_cast<int>(k);
-          const int fi = window_ids_[static_cast<std::size_t>(k)];
-          DecomposeWindowFrame(wi, fi, s);
+          const auto slot = static_cast<std::size_t>(k);
+          const int fi = window_ids_[slot];
+          DecomposeWindowFrame(wi, fi, slot_runs_[slot], s);
           auto pf = window_->at(wi).pixels();
           auto pl = s.scratch.lb.pixels();
           const std::size_t leaked = imaging::kernels::MaskedAccumulateRgb(
@@ -338,13 +395,11 @@ void StreamingReconstructor::FlushWindow() {
           }
         }
       });
-  window_->Clear(&pool_);
   if (!opts_.checkpoint_path.empty()) {
     // Every range frame up to the newest one just decomposed is now covered
     // by the combined accumulators (quarantined frames by the saved list).
     SaveCheckpointNow(window_ids_.back() + 1);
   }
-  window_ids_.clear();
 }
 
 LeakAccumulators StreamingReconstructor::ReduceShards() {
@@ -385,9 +440,9 @@ void StreamingReconstructor::SaveCheckpointNow(int frames_done) {
   }
 }
 
-void StreamingReconstructor::DecomposeWindowFrame(int window_index,
-                                                  int frame_index,
-                                                  LeakShard& shard) {
+void StreamingReconstructor::DecomposeWindowFrame(
+    int window_index, int frame_index, std::span<const std::uint8_t> raw_runs,
+    LeakShard& shard) {
   const Image& frame = window_->at(window_index);
   FrameDecomposition& d = shard.scratch;
   {
@@ -403,11 +458,16 @@ void StreamingReconstructor::DecomposeWindowFrame(int window_index,
   }
   {
     const trace::ScopedTimer timer("reconstruct.vcm");
-    d.vcm = cache_raw_masks_
-                ? masker_.Refine(
-                      frame,
-                      raw_cache_[static_cast<std::size_t>(frame_index)])
-                : masker_.Vcm(frame, frame_index);
+    if (shard.raw.width() != frame.width() ||
+        shard.raw.height() != frame.height()) {
+      shard.raw = Bitmap(frame.width(), frame.height());
+    }
+    if (!DecodeMaskRuns(raw_runs, &shard.raw)) {
+      throw MaskStoreFailure(
+          Status(StatusCode::kDataLoss, "stored caller mask does not decode")
+              .WithContext("frame " + std::to_string(frame_index)));
+    }
+    d.vcm = masker_.Refine(frame, shard.raw);
   }
   {
     const trace::ScopedTimer timer("reconstruct.lb");
@@ -435,6 +495,11 @@ void StreamingReconstructor::EndPass(int pass) {
   if (pass < analysis_passes_) {
     segmenter_.EndAnalysisPass(pass);
   } else if (pass == analysis_passes_) {
+    FlushWindow();
+    for (const CallerColorCounts& colors : caller_shards_) {
+      masker_.Fold(colors);
+    }
+    caller_shards_.clear();
     masker_.EndPrepare();
     caller_timer_.reset();
   } else {
@@ -443,10 +508,17 @@ void StreamingReconstructor::EndPass(int pass) {
   }
 }
 
-void StreamingReconstructor::FinishRunStats() {
+void StreamingReconstructor::FinishRun() {
   stats_.peak_window_frames = window_->peak_size();
   stats_.pool_hits = pool_.hits();
   stats_.pool_misses = pool_.misses();
+  stats_.masks_spilled = masks_.spilled_masks();
+  window_.reset();
+  window_ids_ = {};
+  slot_runs_ = {};
+  pool_ = video::BufferPool();
+  masks_.Clear();
+  shards_ = {};
   if (trace::Enabled()) {
     trace::AddCounter("stream.window_capacity",
                       static_cast<std::uint64_t>(stats_.window_capacity));
@@ -456,6 +528,7 @@ void StreamingReconstructor::FinishRunStats() {
     trace::AddCounter("stream.frames_pushed", stats_.frames_pushed);
     trace::AddCounter("stream.pool_hits", stats_.pool_hits);
     trace::AddCounter("stream.pool_misses", stats_.pool_misses);
+    trace::AddCounter("stream.masks_spilled", stats_.masks_spilled);
   }
 }
 
@@ -479,7 +552,7 @@ ReconstructionResult StreamingReconstructor::Finalize() {
   FinalizeBackground(total, info_.width, info_.height,
                      opts_.recon.max_color_spread,
                      opts_.recon.min_leak_count, &result_);
-  FinishRunStats();
+  FinishRun();
   // A completed run supersedes its checkpoint.
   if (!opts_.checkpoint_path.empty()) {
     (void)std::remove(opts_.checkpoint_path.c_str());
@@ -509,7 +582,7 @@ PartialResult StreamingReconstructor::FinalizePartial() {
   partial.per_frame_leak_fraction.assign(
       result_.per_frame_leak_fraction.begin() + shard_begin_,
       result_.per_frame_leak_fraction.begin() + shard_end_);
-  FinishRunStats();
+  FinishRun();
   if (trace::Enabled()) {
     trace::AddCounter("shard.partials_emitted", 1);
     trace::AddCounter(
@@ -524,8 +597,8 @@ PartialResult StreamingReconstructor::FinalizePartial() {
 }
 
 Status StreamingReconstructor::AbortForStop() {
-  const bool windowed = current_pass_ == analysis_passes_ + 1;
-  if (windowed && !opts_.checkpoint_path.empty()) {
+  const bool decomposing = current_pass_ == analysis_passes_ + 1;
+  if (decomposing && !opts_.checkpoint_path.empty()) {
     // Seal the in-flight window: FlushWindow decomposes the resident
     // frames and checkpoints past them, so nothing pushed so far is lost.
     // An empty window means the last flush's checkpoint already covers
@@ -556,7 +629,7 @@ Status StreamingReconstructor::RunPasses(video::FrameSource& source) {
   for (int pass = 0; pass < total_passes; ++pass) {
     source.Reset();
     BeginPass(pass);
-    const bool windowed = pass == analysis_passes_ + 1;
+    const bool windowed = Windowed();
     // Decomposition-prefix fast-forward: frames below decomp_begin_
     // (resumed and/or earlier shards' slices) contribute nothing to the
     // decomposition pass, so a seekable source (indexed .bbv, in-memory
@@ -567,7 +640,7 @@ Status StreamingReconstructor::RunPasses(video::FrameSource& source) {
     // worker's slice end are simply never pulled on this pass.
     int start = 0;
     int stop = n;
-    if (windowed) {
+    if (pass == analysis_passes_ + 1) {
       stop = shard_end_;
       if (decomp_begin_ > 0 && source.CanSeek()) {
         const int skip_to = std::min(decomp_begin_, n);
@@ -581,7 +654,7 @@ Status StreamingReconstructor::RunPasses(video::FrameSource& source) {
         }
       }
     }
-    // Windowed pass pulls directly into pooled buffers and moves them
+    // Windowed passes pull directly into pooled buffers and move them
     // into the window (allocation-free at steady state).
     Image buffer =
         windowed ? pool_.AcquireImage(info_.width, info_.height) : Image();
@@ -623,6 +696,8 @@ Result<ReconstructionResult> StreamingReconstructor::Run(
   } catch (const std::bad_alloc&) {
     return Status(StatusCode::kResourceExhausted,
                   "out of memory during streaming reconstruction");
+  } catch (const MaskStoreFailure& failure) {
+    return failure.status();
   }
 }
 
@@ -634,6 +709,8 @@ Result<PartialResult> StreamingReconstructor::RunPartial(
   } catch (const std::bad_alloc&) {
     return Status(StatusCode::kResourceExhausted,
                   "out of memory during streaming reconstruction");
+  } catch (const MaskStoreFailure& failure) {
+    return failure.status();
   }
 }
 

@@ -13,24 +13,36 @@
 //
 // Pass protocol (TotalPasses() sequential pulls over a rewindable source):
 //   passes [0, A)  - segmenter analysis passes (A = AnalysisPasses())
-//   pass A         - caller statistics (segment + color histogram); raw
-//                    masks are cached only when the window covers the call
-//   pass A+1       - windowed decomposition + leak accumulation
+//   pass A         - windowed caller pass: each window flush segments its
+//                    frames in parallel, counts their colors per thread
+//                    shard (integer histograms, folded into the caller
+//                    color model in shard order) and run-length encodes
+//                    the raw masks of the decomposition range into a
+//                    MaskStore (core/mask_store.h)
+//   pass A+1       - windowed decomposition + leak accumulation; the VCM
+//                    refines the stored mask, so Segment() runs exactly
+//                    once per frame and never here
 // Run() drives all passes; the Begin/BeginPass/PushFrame/EndPass/Finalize
-// surface is public for callers that push frames as they arrive.
+// surface is public for callers that push frames as they arrive. Both
+// windowed passes hold at most window_frames frames; the mask store keeps
+// at most kMaskStoreResidentBytes in memory and spills the rest to an
+// unlinked temp file, so memory stays O(window) at any call length.
+// Finalize()/FinalizePartial() release the window, buffer pool, mask store
+// and accumulators before returning.
 //
 // Shard mode (DESIGN.md section 14): with shard_count > 0 the worker runs
-// the cheap analysis/caller passes over the whole stream (identical global
-// statistics on every worker) but decomposes only its frame slice
-// [frames*i/N, frames*(i+1)/N), fast-forwarding to the slice start via
-// video::FrameSource::Seek when the source supports it. RunPartial() then
-// emits a sealed mergeable partial (core/partial.h) instead of finalizing;
-// core/reduce.h folds the K partials into output bit-identical to a
-// single-process run at any shard count, thread count, or window size.
+// the analysis and caller passes over the whole stream (identical global
+// statistics on every worker) but stores masks for and decomposes only its
+// frame slice [frames*i/N, frames*(i+1)/N), fast-forwarding to the slice
+// start via video::FrameSource::Seek when the source supports it.
+// RunPartial() then emits a sealed mergeable partial (core/partial.h)
+// instead of finalizing; core/reduce.h folds the K partials into output
+// bit-identical to a single-process run at any shard count, thread count,
+// or window size.
 //
 // Fault tolerance (DESIGN.md section 11):
 //   * A frame reported bad (PushBadFrame, or a kBad pull inside Run) is
-//     *quarantined*: excluded from every pass - analysis, caller prep, and
+//     *quarantined*: excluded from every pass - analysis, caller pass, and
 //     decomposition - so the final output is bit-identical to a clean run
 //     over the surviving frames, at any thread count or window size. The
 //     quarantine is sticky across passes; schedule-driven injected faults
@@ -50,16 +62,23 @@
 //   * With no faults, budgets, or checkpoint configured, all of this is a
 //     few integer compares per frame - outputs are byte-identical to the
 //     pre-fault-tolerance pipeline.
+//   * A mask-store spill that cannot be written or read back fails
+//     Run()/RunPartial() with the store's status (kIoError or kDataLoss);
+//     a frame is never segmented a second time to recover. Callers driving
+//     the push protocol get a std::runtime_error carrying the same text.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/trace.h"
+#include "core/caller_masking.h"
+#include "core/mask_store.h"
 #include "core/partial.h"
 #include "core/reconstruction.h"
 #include "imaging/image.h"
@@ -114,12 +133,16 @@ struct StreamingOptions {
 // tracing is enabled).
 struct StreamingStats {
   int window_capacity = 0;
+  // Peak window residency over both windowed passes.
   int peak_window_frames = 0;
+  // Frames pushed into, and flushes of, the decomposition pass's window.
   std::uint64_t frames_pushed = 0;
   std::uint64_t window_flushes = 0;
   std::uint64_t pool_hits = 0;
   std::uint64_t pool_misses = 0;
-  bool raw_masks_cached = false;
+  // Raw masks the caller pass stored past the mask store's resident cap,
+  // in its spill file.
+  std::uint64_t masks_spilled = 0;
 
   // Degradation accounting.
   std::uint64_t bad_frame_events = 0;  // bad pushes/pulls across all passes
@@ -161,7 +184,7 @@ class StreamingReconstructor {
   int TotalPasses() const;
   void BeginPass(int pass);
   // Copying push (the frame is copied into a pooled buffer on the windowed
-  // pass) and zero-copy move push. Quarantined frames are skipped.
+  // passes) and zero-copy move push. Quarantined frames are skipped.
   void PushFrame(const imaging::Image& frame, int frame_index);
   void PushFrame(imaging::Image&& frame, int frame_index);
   // Records `frame_index` as unreadable (reason in `reason`) and takes this
@@ -203,16 +226,28 @@ class StreamingReconstructor {
   struct LeakShard {
     LeakAccumulators acc;
     FrameDecomposition scratch;
+    imaging::Bitmap raw;  // decoded raw segmenter mask
   };
 
   void CheckOrder(int frame_index);
+  bool Windowed() const { return current_pass_ >= analysis_passes_; }
+  // True when `frame_index` is decomposed by this run: inside the worker's
+  // slice and not already covered by a resumed checkpoint.
+  bool InDecompositionRange(int frame_index) const {
+    return frame_index >= decomp_begin_ && frame_index < shard_end_;
+  }
   // True when the frame takes its in-order slot but must not contribute to
   // the current pass (quarantined, outside this worker's decomposition
   // range, or already covered by a checkpoint).
   bool SkipFrame(int frame_index) const;
   void PushWindowed(imaging::Image frame, int frame_index);
+  // Flushes the resident window through SegmentWindow (caller pass) or
+  // DecomposeWindow (decomposition pass) and recycles its buffers.
   void FlushWindow();
+  void SegmentWindow();
+  void DecomposeWindow();
   void DecomposeWindowFrame(int window_index, int frame_index,
+                            std::span<const std::uint8_t> raw_runs,
                             LeakShard& shard);
   void SaveCheckpointNow(int frames_done);
   // Cooperative-stop exit path: on the decomposition pass with a checkpoint
@@ -224,7 +259,9 @@ class StreamingReconstructor {
   // Serial shard-order reduction of resume base + thread shards (exact).
   LeakAccumulators ReduceShards();
   Status RunPasses(video::FrameSource& source);
-  void FinishRunStats();
+  // Records the run's stats, then frees every per-run buffer (window, pool,
+  // mask store, accumulators) - the result no longer needs them.
+  void FinishRun();
 
   const VbReference& reference_;
   segmentation::PersonSegmenter& segmenter_;
@@ -236,7 +273,6 @@ class StreamingReconstructor {
   int analysis_passes_ = 0;
   int current_pass_ = -2;  // -2 before Begin, -1 after Begin
   int next_frame_ = 0;
-  bool cache_raw_masks_ = false;
 
   // Degradation state: quarantine bitmap + unique count + derived budget.
   std::vector<std::uint8_t> quarantine_;
@@ -261,8 +297,15 @@ class StreamingReconstructor {
   // quarantined or resumed frames skipped, window slots are no longer
   // contiguous in stream indices; this carries the mapping into FlushWindow.
   std::vector<int> window_ids_;
+  // Run-length-encoded raw mask of each window slot, between the segmenter
+  // and the mask store (caller pass) or the store and the refinement
+  // (decomposition pass). Reused across flushes.
+  std::vector<std::vector<std::uint8_t>> slot_runs_;
   video::BufferPool pool_;
-  std::vector<imaging::Bitmap> raw_cache_;
+  MaskStore masks_;
+  // Per-thread-shard color counts of the caller pass; they persist across
+  // window flushes and fold into masker_ in shard order at EndPass.
+  std::vector<CallerColorCounts> caller_shards_;
   std::vector<LeakShard> shards_;
   ReconstructionResult result_;
   StreamingStats stats_;

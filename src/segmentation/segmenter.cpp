@@ -19,23 +19,6 @@ using imaging::Bitmap;
 using imaging::FloatImage;
 using imaging::Image;
 
-Bitmap PersonSegmenter::SegmentBatch(const video::VideoStream& call,
-                                     int frame_index) {
-  if (AnalysisPasses() > 0 && analyzed_ != &call) {
-    const video::StreamInfo info{call.width(), call.height(),
-                                 call.frame_count(), call.fps()};
-    for (int pass = 0; pass < AnalysisPasses(); ++pass) {
-      BeginAnalysisPass(pass, info);
-      for (int i = 0; i < call.frame_count(); ++i) {
-        PushAnalysisFrame(pass, call.frame(i), i);
-      }
-      EndAnalysisPass(pass);
-    }
-    analyzed_ = &call;
-  }
-  return Segment(call.frame(frame_index), frame_index);
-}
-
 NoisyOracleSegmenter::NoisyOracleSegmenter(
     std::vector<imaging::Bitmap> true_masks, const NoisyOracleParams& params,
     std::uint64_t seed)

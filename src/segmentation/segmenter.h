@@ -14,8 +14,8 @@
 // through the analysis-pass protocol (sequential passes of per-frame pushes
 // with O(1) frame state), after which Segment() masks a single frame.
 // Segment() must be safe to call concurrently once the analysis passes have
-// completed. Batch callers use SegmentBatch(), which drives the protocol
-// over an in-memory stream automatically.
+// completed: the streaming core (core/streaming.h) drives the protocol and
+// then segments each frame exactly once, in parallel over a window.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include "imaging/image.h"
 #include "video/frame_source.h"
 #include "video/temporal.h"
-#include "video/video.h"
 
 namespace bb::segmentation {
 
@@ -55,15 +54,6 @@ class PersonSegmenter {
   // any) to have run; thread-safe afterwards.
   virtual imaging::Bitmap Segment(const imaging::Image& frame,
                                   int frame_index) = 0;
-
-  // Batch convenience: runs any pending analysis passes over `call` (cached
-  // by stream identity, so repeated calls with the same stream analyze
-  // once), then segments frame `frame_index`.
-  imaging::Bitmap SegmentBatch(const video::VideoStream& call,
-                               int frame_index);
-
- private:
-  const video::VideoStream* analyzed_ = nullptr;
 };
 
 struct NoisyOracleParams {

@@ -128,7 +128,10 @@ Status Daemon::Run() {
     return ready;
   }
   // Single-instance advisory lock: two daemons racing one spool would
-  // double-run jobs.
+  // double-run jobs. The descriptor is deliberately inherited by shard
+  // workers (no O_CLOEXEC): a worker orphaned by a kill -9 of the daemon
+  // keeps the spool fenced until it exits, so a restarted daemon cannot
+  // requeue a job that worker is still writing.
   const std::string lock_path =
       (fs::path(opts_.spool_root) / "daemon.lock").string();
   const int lock_fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
@@ -138,8 +141,10 @@ Status Daemon::Run() {
   if (::flock(lock_fd, LOCK_EX | LOCK_NB) != 0) {
     ::close(lock_fd);
     return Status(StatusCode::kFailedPrecondition,
-                  "another attackd already owns spool " + opts_.spool_root +
-                      " (daemon.lock is held)");
+                  "spool " + opts_.spool_root +
+                      " is locked: daemon.lock is held by another attackd "
+                      "or by a shard worker a killed attackd started; "
+                      "retry once it exits");
   }
 
   {

@@ -1,58 +1,19 @@
 // Unit tests for the trace registry (src/common/trace.h): JSON escaping of
 // hostile stage names, nested timers, counter wrap-around, concurrent
 // emission, and the zero-overhead-when-disabled contract (checked as
-// zero *allocations* via a counting global operator new - this test binary
-// is kept separate from common_tests so the replacement stays contained).
+// zero *allocations* via the counting global operator new in
+// counting_allocator.cpp - this test binary is kept separate from
+// common_tests so the replacement stays contained).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/trace.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-// Counting global allocator. Must count every path the disabled-mode fast
-// path could take; delegates to malloc so behavior is unchanged.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+#include "counting_allocator.h"
 
 namespace bb::trace {
 namespace {
@@ -157,13 +118,12 @@ TEST_F(TraceTest, ConcurrentEmissionLosesNothing) {
 TEST_F(TraceTest, DisabledModeMakesNoAllocations) {
   Disable();
   // Warm nothing: the disabled path must not even touch the registry.
-  const std::uint64_t before =
-      g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = bb::counting_allocator::Allocations();
   for (int i = 0; i < 1000; ++i) {
     const ScopedTimer timer("never.recorded");
     AddCounter("never.recorded", 1);
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = bb::counting_allocator::Allocations();
   EXPECT_EQ(after, before);
   // And nothing was recorded.
   const Snapshot snap = Capture();

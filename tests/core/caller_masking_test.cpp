@@ -2,23 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "imaging/draw.h"
+#include "video/video.h"
 
 namespace bb::core {
 namespace {
 
 using imaging::Bitmap;
 using imaging::Image;
-
-// A fake segmenter returning a fixed mask.
-class FixedSegmenter final : public segmentation::PersonSegmenter {
- public:
-  explicit FixedSegmenter(Bitmap mask) : mask_(std::move(mask)) {}
-  Bitmap Segment(const imaging::Image&, int) override { return mask_; }
-
- private:
-  Bitmap mask_;
-};
 
 // A call where the "caller" is a blue square but the segmenter's mask also
 // swallows a strip of green background on the right.
@@ -37,15 +30,31 @@ struct Fixture {
   }
 };
 
+// The caller pass's color model over the whole fixture call, counted in
+// `shards` contiguous frame shards and folded in shard order.
+CallerMasker Prepared(const Fixture& f, const CallerMaskingOptions& opts,
+                      int shards = 1) {
+  CallerMasker masker(opts);
+  masker.BeginPrepare();
+  const int n = f.call.frame_count();
+  for (int s = 0; s < shards; ++s) {
+    CallerColorCounts counts;
+    for (int i = n * s / shards; i < n * (s + 1) / shards; ++i) {
+      counts.Add(f.call.frame(i), f.over_mask);
+    }
+    masker.Fold(counts);
+  }
+  masker.EndPrepare();
+  return masker;
+}
+
 TEST(CallerMaskingTest, RefinementDropsRareColors) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
   CallerMaskingOptions opts;
   opts.rare_color_frequency = 0.25;  // green strip is ~17% of mask: rare
   opts.protect_core_px = 2.0;
-  CallerMasker masker(seg, opts);
-  masker.Prepare(f.call);
-  const Bitmap vcm = masker.Vcm(f.call, 0);
+  const CallerMasker masker = Prepared(f, opts);
+  const Bitmap vcm = masker.Refine(f.call.frame(0), f.over_mask);
   // Blue core retained.
   EXPECT_TRUE(vcm(15, 15));
   // Green strip at the mask boundary flipped out.
@@ -54,13 +63,11 @@ TEST(CallerMaskingTest, RefinementDropsRareColors) {
 
 TEST(CallerMaskingTest, CoreIsProtectedFromFlipping) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
   CallerMaskingOptions opts;
   opts.rare_color_frequency = 1.1;  // everything is "rare"
   opts.protect_core_px = 5.0;
-  CallerMasker masker(seg, opts);
-  masker.Prepare(f.call);
-  const Bitmap vcm = masker.Vcm(f.call, 0);
+  const CallerMasker masker = Prepared(f, opts);
+  const Bitmap vcm = masker.Refine(f.call.frame(0), f.over_mask);
   // Deep interior survives even an absurd threshold.
   EXPECT_TRUE(vcm(20, 16));
   // Boundary does not.
@@ -69,28 +76,18 @@ TEST(CallerMaskingTest, CoreIsProtectedFromFlipping) {
 
 TEST(CallerMaskingTest, DisabledRefinementKeepsRawMask) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
   CallerMaskingOptions opts;
   opts.rare_color_frequency = 0.0;
-  CallerMasker masker(seg, opts);
-  masker.Prepare(f.call);
-  EXPECT_EQ(masker.Vcm(f.call, 3), f.over_mask);
-}
-
-TEST(CallerMaskingTest, RawMaskAccessor) {
-  Fixture f;
-  FixedSegmenter seg(f.over_mask);
-  CallerMasker masker(seg);
-  masker.Prepare(f.call);
-  EXPECT_EQ(masker.RawSegmenterMask(5), f.over_mask);
+  const CallerMasker masker = Prepared(f, opts);
+  EXPECT_EQ(masker.Refine(f.call.frame(3), f.over_mask), f.over_mask);
 }
 
 TEST(CallerMaskingTest, ThrowsWhenNotPrepared) {
   Fixture f;
-  FixedSegmenter seg(f.over_mask);
-  CallerMasker masker(seg);
-  EXPECT_THROW(masker.Vcm(f.call, 0), std::logic_error);
-  EXPECT_THROW(masker.RawSegmenterMask(0), std::logic_error);
+  CallerMasker masker;
+  EXPECT_THROW(masker.Refine(f.call.frame(0), f.over_mask), std::logic_error);
+  masker.BeginPrepare();
+  EXPECT_THROW(masker.Refine(f.call.frame(0), f.over_mask), std::logic_error);
 }
 
 }  // namespace

@@ -49,8 +49,8 @@ TEST(ErrorHandlingTest, OracleSegmenterRejectsLongerCalls) {
     if (i < 3) masks.emplace_back(16, 12);
   }
   segmentation::NoisyOracleSegmenter seg(std::move(masks), {}, 1);
-  EXPECT_NO_THROW(seg.SegmentBatch(call, 2));
-  EXPECT_THROW(seg.SegmentBatch(call, 3), std::out_of_range);
+  EXPECT_NO_THROW(seg.Segment(call.frame(2), 2));
+  EXPECT_THROW(seg.Segment(call.frame(3), 3), std::out_of_range);
 }
 
 TEST(ErrorHandlingTest, ReconstructorSurfacesSegmenterFailures) {

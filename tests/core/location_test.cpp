@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/parallel.h"
+#include "common/trace.h"
 #include "imaging/draw.h"
 #include "imaging/transform.h"
 #include "synth/scene.h"
@@ -188,6 +193,51 @@ TEST(RankLocationsTest, PrunedEqualsExhaustive) {
     EXPECT_EQ(rp[i].index, re[i].index) << i;
     EXPECT_DOUBLE_EQ(rp[i].score, re[i].score) << i;
   }
+}
+
+TEST(RankLocationsTest, RankingIsThreadCountInvariant) {
+  // Candidates are scored in parallel; each owns its incumbent, output slot
+  // and abandoned-shift count, so nothing may depend on the thread count.
+  const Image scene = Scene(41);
+  std::vector<Image> dict;
+  for (std::uint64_t s = 300; s < 311; ++s) dict.push_back(Scene(s));
+  dict.push_back(imaging::Shift(scene, 3, -3));
+  dict.push_back(scene);
+  const auto [recon, coverage] = PartialRecon(scene, 0.35);
+  trace::Enable();
+  for (const bool prune : {true, false}) {
+    LocationMatchOptions opts;
+    opts.prune = prune;
+    std::vector<RankedCandidate> want;
+    std::uint64_t want_abandoned = 0;
+    for (int threads = 1; threads <= 8; ++threads) {
+      common::SetThreadCount(threads);
+      trace::Reset();
+      const auto ranking = RankLocations(recon, coverage, dict, opts);
+      std::uint64_t abandoned = 0;
+      for (const auto& c : trace::Capture().counters) {
+        if (c.name == "location.shifts_abandoned") abandoned = c.value;
+      }
+      if (threads == 1) {
+        want = ranking;
+        want_abandoned = abandoned;
+        // The pruned search abandons shifts; the exhaustive one never does.
+        EXPECT_EQ(abandoned > 0, prune);
+        continue;
+      }
+      ASSERT_EQ(ranking.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(ranking[i].index, want[i].index)
+            << "threads " << threads << " rank " << i;
+        EXPECT_EQ(ranking[i].score, want[i].score)
+            << "threads " << threads << " rank " << i;
+      }
+      EXPECT_EQ(abandoned, want_abandoned) << "threads " << threads;
+    }
+  }
+  common::SetThreadCount(0);
+  trace::Disable();
+  trace::Reset();
 }
 
 TEST(CrossCallMatchTest, PrunedEqualsExhaustive) {

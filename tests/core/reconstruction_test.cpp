@@ -90,9 +90,10 @@ TEST(ReconstructorTest, DecomposeComponentsAreDisjointFromLb) {
   PipelineFixture f;
   const VbReference ref = VbReference::KnownImage(f.vb_image);
   segmentation::NoisyOracleSegmenter seg(f.raw.caller_masks, {}, 7);
-  Reconstructor rc(ref, seg);
-  rc.PrepareCaller(f.call.video);
-  const FrameDecomposition d = rc.Decompose(f.call.video, 20);
+  ReconstructionOptions opts;
+  opts.keep_frame_masks = true;
+  Reconstructor rc(ref, seg, opts);
+  const FrameDecomposition d = rc.Run(f.call.video).frame_masks[20];
   // LB excludes every other component (paper Fig. 3: non-overlapping).
   EXPECT_EQ(imaging::CountSet(imaging::And(d.lb, d.bbm)), 0u);
   EXPECT_EQ(imaging::CountSet(imaging::And(d.lb, d.vcm)), 0u);
@@ -101,14 +102,6 @@ TEST(ReconstructorTest, DecomposeComponentsAreDisjointFromLb) {
   // Everything is accounted for: lb | bbm | vcm covers the frame.
   const Bitmap covered = imaging::Or(imaging::Or(d.lb, d.bbm), d.vcm);
   EXPECT_EQ(imaging::CountSet(covered), covered.pixel_count());
-}
-
-TEST(ReconstructorTest, DecomposeThrowsWithoutPreparation) {
-  PipelineFixture f;
-  const VbReference ref = VbReference::KnownImage(f.vb_image);
-  segmentation::NoisyOracleSegmenter seg(f.raw.caller_masks, {}, 7);
-  Reconstructor rc(ref, seg);
-  EXPECT_THROW(rc.Decompose(f.call.video, 0), std::logic_error);
 }
 
 TEST(ReconstructorTest, KeepFrameMasksStoresPerFrameData) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "imaging/draw.h"
+#include "video/video.h"
 #include "synth/recorder.h"
 #include "vbg/compositor.h"
 
@@ -10,6 +11,20 @@ namespace bb::segmentation {
 namespace {
 
 using imaging::Bitmap;
+
+// Drives `seg`'s analysis passes over `call`, the way the streaming core
+// does before it segments any frame.
+void Analyze(PersonSegmenter& seg, const video::VideoStream& call) {
+  const video::StreamInfo info{call.width(), call.height(),
+                               call.frame_count(), call.fps()};
+  for (int pass = 0; pass < seg.AnalysisPasses(); ++pass) {
+    seg.BeginAnalysisPass(pass, info);
+    for (int i = 0; i < call.frame_count(); ++i) {
+      seg.PushAnalysisFrame(pass, call.frame(i), i);
+    }
+    seg.EndAnalysisPass(pass);
+  }
+}
 
 synth::RawRecording SmallRecording(synth::ActionKind action) {
   synth::RecordingSpec spec;
@@ -28,7 +43,7 @@ TEST(NoisyOracleTest, ReachesDeepLabClassAccuracy) {
   double iou_sum = 0.0;
   const int n = raw.video.frame_count();
   for (int i = 0; i < n; ++i) {
-    iou_sum += imaging::Iou(seg.SegmentBatch(raw.video, i),
+    iou_sum += imaging::Iou(seg.Segment(raw.video.frame(i), i),
                             raw.caller_masks[static_cast<std::size_t>(i)]);
   }
   const double mean_iou = iou_sum / n;
@@ -44,23 +59,24 @@ TEST(NoisyOracleTest, NoiseScalesWithParameter) {
   NoisyOracleSegmenter a(raw.caller_masks, mild, 3);
   NoisyOracleSegmenter b(raw.caller_masks, harsh, 3);
   const double iou_mild =
-      imaging::Iou(a.SegmentBatch(raw.video, 4), raw.caller_masks[4]);
+      imaging::Iou(a.Segment(raw.video.frame(4), 4), raw.caller_masks[4]);
   const double iou_harsh =
-      imaging::Iou(b.SegmentBatch(raw.video, 4), raw.caller_masks[4]);
+      imaging::Iou(b.Segment(raw.video.frame(4), 4), raw.caller_masks[4]);
   EXPECT_GT(iou_mild, iou_harsh);
 }
 
 TEST(NoisyOracleTest, DeterministicPerFrame) {
   const auto raw = SmallRecording(synth::ActionKind::kStill);
   NoisyOracleSegmenter seg(raw.caller_masks, NoisyOracleParams{}, 5);
-  EXPECT_EQ(seg.SegmentBatch(raw.video, 2), seg.SegmentBatch(raw.video, 2));
+  EXPECT_EQ(seg.Segment(raw.video.frame(2), 2),
+            seg.Segment(raw.video.frame(2), 2));
 }
 
 TEST(NoisyOracleTest, ThrowsOnBadIndex) {
   const auto raw = SmallRecording(synth::ActionKind::kStill);
   NoisyOracleSegmenter seg(raw.caller_masks, NoisyOracleParams{}, 5);
-  EXPECT_THROW(seg.SegmentBatch(raw.video, -1), std::out_of_range);
-  EXPECT_THROW(seg.SegmentBatch(raw.video, raw.video.frame_count()),
+  EXPECT_THROW(seg.Segment(raw.video.frame(0), -1), std::out_of_range);
+  EXPECT_THROW(seg.Segment(raw.video.frame(0), raw.video.frame_count()),
                std::out_of_range);
 }
 
@@ -72,11 +88,12 @@ TEST(ClassicalSegmenterTest, FindsTheCallerWithoutGroundTruth) {
   const auto call = vbg::ApplyVirtualBackground(raw, vb);
 
   ClassicalSegmenter seg;
+  Analyze(seg, call.video);
   double iou_sum = 0.0;
   int n = 0;
   // Skip warm-up frames where the matting itself is unsettled.
   for (int i = 8; i < call.video.frame_count(); ++i) {
-    iou_sum += imaging::Iou(seg.SegmentBatch(call.video, i),
+    iou_sum += imaging::Iou(seg.Segment(call.video.frame(i), i),
                             raw.caller_masks[static_cast<std::size_t>(i)]);
     ++n;
   }
@@ -93,7 +110,8 @@ TEST(ClassicalSegmenterTest, MaskIsOneBlob) {
       vbg::MakeStockImage(vbg::StockImage::kBeach, 96, 72));
   const auto call = vbg::ApplyVirtualBackground(raw, vb);
   ClassicalSegmenter seg;
-  const Bitmap mask = seg.SegmentBatch(call.video, 10);
+  Analyze(seg, call.video);
+  const Bitmap mask = seg.Segment(call.video.frame(10), 10);
   EXPECT_GT(imaging::CountSet(mask), 100u);
 }
 
