@@ -93,6 +93,7 @@ int Submit(const cli::Args& args, const std::string& spool) {
   spec.max_attempts = static_cast<int>(args.GetInt("max-attempts", 3));
   spec.backoff_ms = static_cast<int>(args.GetInt("backoff-ms", 250));
   spec.deadline_ms = static_cast<int>(args.GetInt("deadline-ms", 0));
+  if (const int rc = args.RejectBadOptions()) return rc;
   if (const Status valid = service::ValidateSpec(spec); !valid.ok()) {
     std::fprintf(stderr, "error: %s\n", valid.ToString().c_str());
     return 2;
@@ -168,6 +169,7 @@ int PrintStatus(const std::string& spool, bool json) {
 
 int Wait(const cli::Args& args, const std::string& spool) {
   const long timeout_ms = args.GetInt("timeout-ms", 600000);
+  if (const int rc = args.RejectBadOptions()) return rc;
   const double until =
       trace::MonotonicSeconds() + static_cast<double>(timeout_ms) / 1000.0;
   while (true) {
@@ -209,12 +211,7 @@ int main(int argc, char** argv) {
   if (args.command() == "submit") return Submit(args, *spool);
   if (args.command() == "status") {
     const bool json = args.GetFlag("json");
-    if (const auto& keys = args.UnconsumedKeys(); !keys.empty()) {
-      for (const auto& key : keys) {
-        std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
-      }
-      return 2;
-    }
+    if (const int rc = args.RejectBadOptions()) return rc;
     return PrintStatus(*spool, json);
   }
   if (args.command() == "wait") return Wait(args, *spool);

@@ -96,10 +96,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "fault injection active: %s\n", faults->c_str());
   }
-  for (const auto& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
-  }
-  if (!args.UnconsumedKeys().empty()) return 2;
+  if (const int rc = args.RejectBadOptions()) return rc;
 
   // Graceful drain: the first SIGTERM/SIGINT checkpoints and requeues the
   // in-flight job, then exits cleanly.

@@ -40,6 +40,7 @@
 #include "common/faultinject.h"
 #include "common/parallel.h"
 #include "common/trace.h"
+#include "core/blur_masking.h"
 #include "core/metrics.h"
 #include "core/partial.h"
 #include "core/attacks/location.h"
@@ -120,13 +121,6 @@ std::optional<vbg::StockImage> StockByName(const std::string& name) {
   return std::nullopt;
 }
 
-int RejectUnknown(const cli::Args& args) {
-  for (const auto& key : args.UnconsumedKeys()) {
-    std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
-  }
-  return args.UnconsumedKeys().empty() ? 0 : 2;
-}
-
 // ---- simulate -------------------------------------------------------------
 
 int Simulate(const cli::Args& args) {
@@ -198,7 +192,7 @@ int Simulate(const cli::Args& args) {
     return Fail("unknown --format " + format + " (want v1 or v2)");
   }
   const std::string truth_base = args.Get("truth-out", *out + ".truth");
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = args.RejectBadOptions()) return rc;
 
   const synth::RawRecording raw = datasets::RecordE1(c, scale);
   const vbg::StaticImageSource vb(
@@ -339,6 +333,11 @@ int Attack(const cli::Args& args) {
   const std::string out_base = args.Get("out", *in + ".recon");
   const auto vb_name = args.Get("vb");
   const double phi = args.GetDouble("phi", core::kDefaultPhi);
+  if (!core::PhiInRange(phi)) {
+    std::fprintf(stderr, "error: --phi must be in [0, %g], got %g\n",
+                 core::kMaxPhi, phi);
+    return 2;
+  }
   const auto truth_path = args.Get("truth");
   const std::vector<std::string> locate_paths = SplitCsv(args.Get("locate", ""));
   const bool no_prune = args.GetFlag("no-prune");
@@ -405,7 +404,7 @@ int Attack(const cli::Args& args) {
   if (!partial_out.empty() && shard_count == 0) {
     return Fail("--partial-out requires --shard");
   }
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = args.RejectBadOptions()) return rc;
 
   std::optional<vbg::StockImage> stock;
   if (vb_name) {
@@ -610,7 +609,7 @@ int Reduce(const cli::Args& args) {
   if (no_prune && locate_paths.empty()) {
     return Fail("--no-prune only applies to the --locate search");
   }
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = args.RejectBadOptions()) return rc;
 
   std::vector<core::PartialResult> partials;
   partials.reserve(paths.size());
@@ -645,7 +644,7 @@ int Reduce(const cli::Args& args) {
 int Info(const cli::Args& args) {
   const auto in = args.Get("in");
   if (!in) return Fail("info requires --in <file.bbv>");
-  if (const int rc = RejectUnknown(args)) return rc;
+  if (const int rc = args.RejectBadOptions()) return rc;
   // Open as a source (index only) rather than loading every frame.
   auto source = video::BbvFileSource::Open(*in);
   if (!source.ok()) return Fail(source.status().ToString());

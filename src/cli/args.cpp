@@ -1,6 +1,10 @@
 #include "cli/args.h"
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace bb::cli {
 
@@ -59,12 +63,24 @@ std::optional<std::string> Args::Get(const std::string& key) const {
   return it->second;
 }
 
+void Args::RecordMalformed(const std::string& key, const char* what) const {
+  std::string error =
+      "--" + key + " expects " + what + ", got '" + values_.at(key) + "'";
+  if (std::find(errors_.begin(), errors_.end(), error) == errors_.end()) {
+    errors_.push_back(std::move(error));
+  }
+}
+
 std::optional<long> Args::GetInt(const std::string& key) const {
   const auto s = Get(key);
   if (!s) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(s->c_str(), &end, 10);
-  if (end == s->c_str() || *end != '\0') return std::nullopt;
+  if (end == s->c_str() || *end != '\0' || errno == ERANGE) {
+    RecordMalformed(key, "an integer");
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -73,7 +89,10 @@ std::optional<double> Args::GetDouble(const std::string& key) const {
   if (!s) return std::nullopt;
   char* end = nullptr;
   const double v = std::strtod(s->c_str(), &end);
-  if (end == s->c_str() || *end != '\0') return std::nullopt;
+  if (end == s->c_str() || *end != '\0') {
+    RecordMalformed(key, "a number");
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -83,6 +102,17 @@ long Args::GetInt(const std::string& key, long fallback) const {
 
 double Args::GetDouble(const std::string& key, double fallback) const {
   return GetDouble(key).value_or(fallback);
+}
+
+int Args::RejectBadOptions() const {
+  for (const auto& err : errors_) {
+    std::fprintf(stderr, "error: %s\n", err.c_str());
+  }
+  const std::vector<std::string> unknown = UnconsumedKeys();
+  for (const auto& key : unknown) {
+    std::fprintf(stderr, "error: unknown option --%s\n", key.c_str());
+  }
+  return errors_.empty() && unknown.empty() ? 0 : 2;
 }
 
 std::vector<std::string> Args::UnconsumedKeys() const {

@@ -38,7 +38,9 @@ class Args {
   // String value; `fallback` when absent.
   std::string Get(const std::string& key, const std::string& fallback) const;
 
-  // Typed accessors: nullopt when absent, parse errors are recorded.
+  // Typed accessors: nullopt when absent. A value that is present but
+  // malformed (`--phi abc`, `--shards 3x`) is recorded in errors() and
+  // also reads as nullopt, or as `fallback` in the two-argument forms.
   std::optional<std::string> Get(const std::string& key) const;
   std::optional<long> GetInt(const std::string& key) const;
   std::optional<double> GetDouble(const std::string& key) const;
@@ -50,14 +52,23 @@ class Args {
   std::vector<std::string> UnconsumedKeys() const;
 
   // Parse-phase problems (e.g. "--key" at end expecting a value is fine -
-  // it becomes a boolean flag - but "---x" is malformed).
+  // it becomes a boolean flag - but "---x" is malformed), then malformed
+  // typed values in the order they were read.
   const std::vector<std::string>& errors() const { return errors_; }
 
+  // Once a command has read all of its options: prints every errors()
+  // entry and unknown option to stderr and returns 2 (a usage error), or
+  // returns 0 when there are none.
+  int RejectBadOptions() const;
+
  private:
+  // Records that `--key`'s value is not a well-formed `what`.
+  void RecordMalformed(const std::string& key, const char* what) const;
+
   std::string command_;
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
-  std::vector<std::string> errors_;
+  mutable std::vector<std::string> errors_;
 };
 
 }  // namespace bb::cli

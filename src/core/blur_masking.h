@@ -15,6 +15,11 @@ namespace bb::core {
 // ~720p scales to ~4 here; bench_phi sweeps this).
 inline constexpr double kDefaultPhi = 4.0;
 
+// The phi range jobs and `backbuster attack` accept: finite, in
+// [0, kMaxPhi]. NaN, negative and infinite radii are refused.
+inline constexpr double kMaxPhi = 1000.0;
+inline bool PhiInRange(double phi) { return phi >= 0.0 && phi <= kMaxPhi; }
+
 // BBM: every pixel within Euclidean distance `phi` of a set VBM pixel
 // (includes the VBM pixels themselves; the framework removes the union of
 // all masks, so the overlap is harmless).

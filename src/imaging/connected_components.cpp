@@ -67,14 +67,14 @@ Bitmap RemoveSmallComponents(const Bitmap& mask, std::size_t min_area) {
   return out;
 }
 
-Bitmap LargestComponent(const Bitmap& mask) {
+Bitmap LargestComponent(const Bitmap& mask, std::size_t min_area) {
   const Labeling labeling = LabelComponents(mask);
-  if (labeling.components.empty()) {
-    return Bitmap(mask.width(), mask.height());
-  }
   const auto best = std::max_element(
       labeling.components.begin(), labeling.components.end(),
       [](const Component& a, const Component& b) { return a.area < b.area; });
+  if (best == labeling.components.end() || best->area < min_area) {
+    return Bitmap(mask.width(), mask.height());
+  }
   Bitmap out(mask.width(), mask.height());
   for (int y = 0; y < mask.height(); ++y) {
     for (int x = 0; x < mask.width(); ++x) {

@@ -1,8 +1,8 @@
 // Connected-component labeling on binary masks.
 //
 // Used by the generic-object detectors to isolate candidate blobs in the
-// reconstructed background, and by the matting model to drop tiny spurious
-// mask islands.
+// reconstructed background, by the matting model to drop tiny spurious
+// mask islands, and by the classical segmenter to pick its seed region.
 #pragma once
 
 #include <vector>
@@ -34,7 +34,11 @@ Labeling LabelComponents(const Bitmap& mask,
 // Removes components with fewer than `min_area` pixels.
 Bitmap RemoveSmallComponents(const Bitmap& mask, std::size_t min_area);
 
-// Keeps only the single largest component (empty mask stays empty).
-Bitmap LargestComponent(const Bitmap& mask);
+// Keeps only the single largest component - the first in raster order on
+// a tie - when it has at least `min_area` pixels; otherwise (and for an
+// empty mask) the result is empty. One labeling gives the same mask as
+// RemoveSmallComponents(mask, min_area) followed by LargestComponent: the
+// surviving components keep their raster order.
+Bitmap LargestComponent(const Bitmap& mask, std::size_t min_area = 0);
 
 }  // namespace bb::imaging

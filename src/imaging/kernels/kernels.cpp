@@ -267,14 +267,6 @@ void ThresholdGE(std::span<const float> in, float threshold,
   }
 }
 
-void ThresholdLE(std::span<const float> in, float threshold,
-                 std::span<std::uint8_t> out) {
-  assert(in.size() == out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>(in[i] <= threshold);
-  }
-}
-
 void SplitRgb(std::span<const Rgb8> px, std::span<float> r, std::span<float> g,
               std::span<float> b) {
   assert(px.size() == r.size() && px.size() == g.size() &&

@@ -125,8 +125,6 @@ std::uint64_t SadRgbBounded(std::span<const Rgb8> a,
                             std::span<const Rgb8> b, std::uint64_t bound);
 void ThresholdGE(std::span<const float> in, float threshold,
                  std::span<std::uint8_t> out);
-void ThresholdLE(std::span<const float> in, float threshold,
-                 std::span<std::uint8_t> out);
 void SplitRgb(std::span<const Rgb8> px, std::span<float> r,
               std::span<float> g, std::span<float> b);
 void MergeRgb(std::span<const float> r, std::span<const float> g,

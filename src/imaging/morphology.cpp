@@ -1,15 +1,18 @@
 #include "imaging/morphology.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
-
-#include "imaging/kernels/kernels.h"
 
 namespace bb::imaging {
 
 namespace {
 
+// The squared distance SquaredDistanceToSet reports where the mask has no
+// set pixel at all.
 constexpr float kInf = std::numeric_limits<float>::max() / 4.0f;
 
 // 1-D squared distance transform (Felzenszwalb & Huttenlocher 2012).
@@ -39,6 +42,118 @@ void Dt1d(const float* f, float* d, int n, int* v, float* z) {
     const float dq = static_cast<float>(q - v[k]);
     d[q] = dq * dq + f[v[k]];
   }
+}
+
+// Column sweeps run in fixed chunks: GCC's -O2 vectorizer takes a loop only
+// when it needs neither an epilogue nor a runtime alias check, and the rows
+// a sweep reads never overlap the row it writes (ivdep).
+constexpr std::size_t kSweepChunk = 16;
+
+template <typename Body>
+void ForEachColumn(std::size_t width, Body body) {
+  std::size_t x = 0;
+  for (; x + kSweepChunk <= width; x += kSweepChunk) {
+#pragma GCC ivdep
+    // bblint: allow(no-per-pixel-loop) -- one row of a column sweep; the state runs down the columns
+    for (std::size_t k = x; k < x + kSweepChunk; ++k) body(k);
+  }
+  for (; x < width; ++x) body(x);
+}
+
+// The sweeps of DiscReach over one mask. `reach` has cap + 1 entries and
+// Dist holds values up to cap + 1.
+template <typename Dist>
+void SweepDisc(const Bitmap& mask, bool erode,
+               std::span<const std::int64_t> reach, Bitmap* out) {
+  const int w = mask.width(), h = mask.height();
+  const auto cap = static_cast<Dist>(reach.size() - 1);
+  const std::uint8_t reached = erode ? kMaskClear : kMaskSet;
+  const std::uint8_t unreached = erode ? kMaskSet : kMaskClear;
+
+  // Downward sweep: distance to the nearest source at or above each pixel.
+  ImageT<Dist> dist(w, h);
+  const std::vector<Dist> none_above(static_cast<std::size_t>(w), cap);
+  std::span<const Dist> above = none_above;
+  for (int y = 0; y < h; ++y) {
+    const auto m = mask.row(y);
+    const auto d = dist.row(y);
+    ForEachColumn(d.size(), [&](std::size_t x) {
+      const Dist far = std::min<Dist>(above[x] + 1, cap);
+      d[x] = static_cast<Dist>(far * ((m[x] == 0) != erode));
+    });
+    above = d;
+  }
+
+  // Upward sweep, then the row pass on each finished row.
+  for (int y = h - 1; y >= 0; --y) {
+    const auto d = dist.row(y);
+    if (y + 1 < h) {
+      const auto below = dist.row(y + 1);
+      ForEachColumn(d.size(), [&](std::size_t x) {
+        d[x] = std::min<Dist>(d[x], below[x] + 1);
+      });
+    }
+    const auto o = out->row(y);
+    std::int64_t right = -1;  // furthest column reached from the left
+    // bblint: allow(no-per-pixel-loop) -- running max along the row, not a per-pixel map
+    for (int x = 0; x < w; ++x) {
+      right = std::max(right, x + reach[d[x]]);
+      o[x] = right >= x;
+    }
+    std::int64_t left = w;  // furthest column reached from the right
+    for (int x = w - 1; x >= 0; --x) {
+      left = std::min(left, x - reach[d[x]]);
+      o[x] = (o[x] || left <= x) ? reached : unreached;
+    }
+  }
+}
+
+// Disc reach: the pixels within `radius` of a source pixel, where the
+// sources are the mask's set pixels or, when `erode`, its clear pixels (and
+// the result is then complemented). It evaluates the definition - threshold
+// the squared distance transform at r2 = float(radius * radius) - with
+// integers:
+//   * Column pass: a downward and an upward sweep give each pixel the
+//     vertical distance g to the nearest source in its column, capped at
+//     one past the largest offset that can still reach.
+//   * Row pass: within one column the nearest source minimises
+//     dx^2 + dy^2, so the disc around (x', y) holds a source in column x
+//     iff |x - x'| <= reach[g(x)], the largest dx with
+//     float(dx^2 + g^2) <= r2. Two linear sweeps per row decide every
+//     pixel: a running max of x + reach going right and a running min of
+//     x - reach going left.
+// The transform's squared distances are exact integers below 2^24, so both
+// evaluate the same predicate over the same candidates and agree bit for
+// bit. There are no sources outside the image: dilation sees no set pixels
+// beyond the border, and erosion treats the outside as set.
+Bitmap DiscReach(const Bitmap& mask, double radius, bool erode) {
+  const int w = mask.width(), h = mask.height();
+  const float r2 = static_cast<float>(radius * radius);
+  // NaN reaches nothing. A radius whose square reaches the transform's
+  // empty-mask sentinel reaches every pixel, even from an empty mask.
+  if (std::isnan(r2)) return Bitmap(w, h, erode ? kMaskSet : kMaskClear);
+  if (r2 >= kInf) return Bitmap(w, h, erode ? kMaskClear : kMaskSet);
+  Bitmap out(w, h);
+  if (w == 0 || h == 0) return out;
+
+  // reach[g] for the vertical offsets g < cap that can still reach, capped
+  // at w - 1 (a whole row); reach[cap] = -1 reaches nothing. Offsets are
+  // squared in 64 bits, so no image size or radius overflows.
+  std::vector<std::int64_t> reach;
+  for (std::int64_t g = 0, dx = w - 1; g < h; ++g) {
+    while (dx >= 0 && static_cast<float>(dx * dx + g * g) > r2) --dx;
+    if (dx < 0) break;
+    reach.push_back(dx);
+  }
+  reach.push_back(-1);
+  // A 16-bit distance plane unless the cap needs more (a radius and a
+  // height both beyond 65534 rows).
+  if (reach.size() <= 0xFFFF) {
+    SweepDisc<std::uint16_t>(mask, erode, reach, &out);
+  } else {
+    SweepDisc<std::uint32_t>(mask, erode, reach, &out);
+  }
+  return out;
 }
 
 }  // namespace
@@ -76,16 +191,12 @@ FloatImage SquaredDistanceToSet(const Bitmap& mask) {
 
 Bitmap DilateDisc(const Bitmap& mask, double radius) {
   if (radius <= 0.0) return mask;
-  const FloatImage dist = SquaredDistanceToSet(mask);
-  const float r2 = static_cast<float>(radius * radius);
-  Bitmap out(mask.width(), mask.height());
-  kernels::ThresholdLE(dist.pixels(), r2, out.pixels());
-  return out;
+  return DiscReach(mask, radius, /*erode=*/false);
 }
 
 Bitmap ErodeDisc(const Bitmap& mask, double radius) {
   if (radius <= 0.0) return mask;
-  return Not(DilateDisc(Not(mask), radius));
+  return DiscReach(mask, radius, /*erode=*/true);
 }
 
 Bitmap OpenDisc(const Bitmap& mask, double radius) {

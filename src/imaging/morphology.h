@@ -2,9 +2,13 @@
 //
 // The blending-blur mask BBM (paper sec. V-C) is exactly a disc dilation of
 // the virtual-background mask by radius phi; the matting-error model also
-// uses dilation/erosion to fatten or thin the estimated caller mask. Disc
-// operations are implemented via an exact Euclidean distance transform so
-// they stay O(n) regardless of radius.
+// uses dilation/erosion to fatten or thin the estimated caller mask. A disc
+// operation is defined by the exact Euclidean distance transform: a pixel
+// is reached when its squared distance to the set is <= float(radius^2).
+// DilateDisc evaluates that predicate with an exact integer kernel (a
+// column sweep, a reach table and two linear sweeps per row; DESIGN.md
+// section 15) in O(n) at any radius; ErodeDisc runs the same sweeps over
+// the clear pixels.
 #pragma once
 
 #include "imaging/image.h"
@@ -18,11 +22,14 @@ namespace bb::imaging {
 FloatImage SquaredDistanceToSet(const Bitmap& mask);
 
 // Disc dilation: every pixel within Euclidean distance `radius` of a set
-// pixel becomes set.
+// pixel becomes set; pixels outside the image count as clear. radius <= 0
+// returns the mask unchanged, NaN reaches nothing and +inf everything.
 Bitmap DilateDisc(const Bitmap& mask, double radius);
 
 // Disc erosion: a pixel stays set only if every pixel within `radius` is
-// set (equivalently, its distance to the complement exceeds radius).
+// set (equivalently, its distance to the complement exceeds radius); pixels
+// outside the image count as set. The complement of dilating the
+// complement, edge radii included.
 Bitmap ErodeDisc(const Bitmap& mask, double radius);
 
 // Morphological open (erode then dilate) and close (dilate then erode).

@@ -137,9 +137,8 @@ Bitmap ClassicalSegmenter::Segment(const Image& frame, int frame_index) {
     }
   }
   candidate = imaging::CloseDisc(candidate, 2.0);
-  candidate = imaging::RemoveSmallComponents(candidate,
-                                             params_.min_island_area);
-  Bitmap seed = imaging::LargestComponent(candidate);
+  // The largest island, unless even it is too small to trust.
+  Bitmap seed = imaging::LargestComponent(candidate, params_.min_island_area);
   if (imaging::CountSet(seed) < 16) return seed;
 
   // The motion cue only finds the MOVING parts of the caller; a torso that

@@ -8,6 +8,7 @@
 #include "common/faultinject.h"
 #include "common/fileio.h"
 #include "common/trace.h"
+#include "core/blur_masking.h"
 #include "core/wire.h"
 
 namespace bb::service {
@@ -124,9 +125,7 @@ Status ValidateSpec(const JobSpec& spec) {
   if (spec.deadline_ms < 0 || spec.deadline_ms > kMaxDeadlineMs) {
     return invalid("job deadline-ms out of range");
   }
-  if (!(spec.phi >= 0.0) || spec.phi > 1000.0) {
-    return invalid("job phi out of range");
-  }
+  if (!core::PhiInRange(spec.phi)) return invalid("job phi out of range");
   return OkStatus();
 }
 

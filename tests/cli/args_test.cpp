@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace bb::cli {
 namespace {
 
@@ -41,11 +44,39 @@ TEST(ArgsTest, TrailingFlagIsBoolean) {
 }
 
 TEST(ArgsTest, TypedAccessorsRejectGarbage) {
-  const Args a = ParseVec({"x", "--n", "12", "--bad", "twelve"});
+  const Args a = ParseVec({"x", "--n", "12", "--bad", "twelve", "--phi",
+                           "abc", "--huge", "99999999999999999999"});
   EXPECT_EQ(a.GetInt("n"), 12);
-  EXPECT_FALSE(a.GetInt("bad").has_value());
   EXPECT_FALSE(a.GetInt("missing").has_value());
   EXPECT_EQ(a.GetInt("missing", 7), 7);
+  EXPECT_TRUE(a.errors().empty());
+
+  EXPECT_FALSE(a.GetInt("bad").has_value());
+  // A present but malformed value reads as the fallback and is recorded -
+  // once, however often it is read - so the caller's option check fails.
+  EXPECT_DOUBLE_EQ(a.GetDouble("phi", 4.0), 4.0);
+  EXPECT_DOUBLE_EQ(a.GetDouble("phi", 4.0), 4.0);
+  EXPECT_FALSE(a.GetInt("huge").has_value());  // out of range for long
+  ASSERT_EQ(a.errors().size(), 3u);
+  EXPECT_NE(a.errors()[0].find("--bad"), std::string::npos);
+  EXPECT_NE(a.errors()[1].find("--phi"), std::string::npos);
+  EXPECT_NE(a.errors()[1].find("abc"), std::string::npos);
+  EXPECT_NE(a.errors()[2].find("--huge"), std::string::npos);
+  EXPECT_TRUE(a.UnconsumedKeys().empty());
+}
+
+TEST(ArgsTest, RejectBadOptionsCoversMalformedValuesAndUnknownKeys) {
+  const Args good = ParseVec({"x", "--n", "-3", "--phi", "6.5"});
+  EXPECT_EQ(good.GetInt("n", 0), -3);
+  EXPECT_DOUBLE_EQ(good.GetDouble("phi", 0.0), 6.5);
+  EXPECT_EQ(good.RejectBadOptions(), 0);
+
+  const Args malformed = ParseVec({"x", "--n", "3x"});
+  EXPECT_EQ(malformed.GetInt("n", 0), 0);
+  EXPECT_EQ(malformed.RejectBadOptions(), 2);
+
+  const Args unknown = ParseVec({"x", "--typo", "1"});
+  EXPECT_EQ(unknown.RejectBadOptions(), 2);
 }
 
 TEST(ArgsTest, MalformedTokensAreErrors) {

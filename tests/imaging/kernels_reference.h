@@ -230,14 +230,6 @@ inline void ThresholdGE(std::span<const float> in, float threshold,
   }
 }
 
-inline void ThresholdLE(std::span<const float> in, float threshold,
-                        std::span<std::uint8_t> out) {
-  assert(in.size() == out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = in[i] <= threshold ? kMaskSet : kMaskClear;
-  }
-}
-
 inline std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
                                           std::span<const std::uint8_t> m,
                                           std::span<std::uint64_t> counts) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "imaging/draw.h"
 
@@ -63,7 +68,8 @@ TEST_P(DistanceTransformPropertyTest, MatchesBruteForce) {
   const FloatImage slow = BruteForceSquaredDistance(m);
   for (int y = 0; y < m.height(); ++y) {
     for (int x = 0; x < m.width(); ++x) {
-      EXPECT_NEAR(fast(x, y), slow(x, y), 1e-3f) << x << "," << y;
+      // Exact: the disc kernels' equivalence argument rests on it.
+      EXPECT_EQ(fast(x, y), slow(x, y)) << x << "," << y;
     }
   }
 }
@@ -140,6 +146,14 @@ TEST(MorphologyTest, EmptyMaskDilatesToEmpty) {
   EXPECT_EQ(CountSet(DilateDisc(m, 3.0)), 0u);
 }
 
+TEST(MorphologyTest, TallMaskReachesBeyondSixteenBitOffsets) {
+  // Column distances past 65534 rows need the wide distance plane.
+  Bitmap strip(1, 70000);
+  strip(0, 0) = kMaskSet;
+  EXPECT_EQ(CountSet(DilateDisc(strip, 69000.5)), 69001u);
+  EXPECT_EQ(CountSet(ErodeDisc(Not(strip), 66000.0)), 70000u - 66001u);
+}
+
 TEST(MorphologyTest, FullMaskStaysFullUnderErosion) {
   // Border convention: pixels outside the image count as set, so a full
   // mask has no boundary to erode from.
@@ -147,6 +161,91 @@ TEST(MorphologyTest, FullMaskStaysFullUnderErosion) {
   const Bitmap e = ErodeDisc(m, 1.0);
   EXPECT_EQ(CountSet(e), m.pixel_count());
 }
+
+// ---- Exactness against the distance-transform definition ------------------
+//
+// The disc operations are defined as thresholding the exact squared
+// Euclidean distance transform at float(radius * radius), with erosion the
+// complement of dilating the complement. These test-local references build
+// every operation that way; the production kernels must match them bit for
+// bit on every mask, shape and radius below, including the edge radii.
+
+Bitmap ReferenceDilate(const Bitmap& mask, double radius) {
+  if (radius <= 0.0) return mask;
+  const FloatImage dist = SquaredDistanceToSet(mask);
+  const float r2 = static_cast<float>(radius * radius);
+  Bitmap out(mask.width(), mask.height());
+  for (int y = 0; y < mask.height(); ++y) {
+    for (int x = 0; x < mask.width(); ++x) {
+      out(x, y) = dist(x, y) <= r2 ? kMaskSet : kMaskClear;
+    }
+  }
+  return out;
+}
+
+Bitmap ReferenceErode(const Bitmap& mask, double radius) {
+  if (radius <= 0.0) return mask;
+  return Not(ReferenceDilate(Not(mask), radius));
+}
+
+struct Shape {
+  int width;
+  int height;
+};
+
+class DiscMorphologyExactnessTest : public ::testing::TestWithParam<Shape> {};
+
+std::vector<std::pair<std::string, Bitmap>> ExactnessMasks(int w, int h) {
+  std::uint64_t s = static_cast<std::uint64_t>(w) * 7919u + h;
+  auto next = [&s]() {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+  };
+  Bitmap sparse(w, h), dense(w, h), blob(w, h);
+  for (auto& v : sparse.pixels()) v = (next() % 40) == 0;
+  for (auto& v : dense.pixels()) v = (next() % 4) != 0;
+  // A filled body with a hole, a thin limb and a detached speck.
+  FillCircle(blob, w / 2, h / 2, std::min(w, h) / 3);
+  FillCircle(blob, w / 2, h / 2, std::min(w, h) / 10, kMaskClear);
+  FillRect(blob, {0, h / 2, w / 2, 1});
+  if (w > 0 && h > 0) blob(w - 1, 0) = kMaskSet;
+  return {{"random-sparse", sparse},
+          {"random-dense", dense},
+          {"blob", blob},
+          {"all-set", Bitmap(w, h, kMaskSet)},
+          {"all-clear", Bitmap(w, h, kMaskClear)}};
+}
+
+TEST_P(DiscMorphologyExactnessTest, MatchesEdtThreshold) {
+  const Shape shape = GetParam();
+  const double beyond_diagonal = std::hypot(shape.width, shape.height) + 1.0;
+  const std::vector<double> radii = {
+      0.3, 0.5, 1.0, std::sqrt(2.0), 1.5, 2.0, 2.5, 3.0, 4.0, 4.2, 7.5,
+      20.0, 48.0, beyond_diagonal, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity()};
+  for (const auto& [name, mask] : ExactnessMasks(shape.width, shape.height)) {
+    for (const double r : radii) {
+      const std::string what = name + " r=" + std::to_string(r);
+      const Bitmap dilated = ReferenceDilate(mask, r);
+      const Bitmap eroded = ReferenceErode(mask, r);
+      EXPECT_EQ(DilateDisc(mask, r), dilated) << "dilate " << what;
+      EXPECT_EQ(ErodeDisc(mask, r), eroded) << "erode " << what;
+      EXPECT_EQ(CloseDisc(mask, r), ReferenceErode(dilated, r))
+          << "close " << what;
+      EXPECT_EQ(OpenDisc(mask, r), ReferenceDilate(eroded, r))
+          << "open " << what;
+      EXPECT_EQ(BoundaryRing(mask, r), AndNot(dilated, mask))
+          << "ring " << what;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, DiscMorphologyExactnessTest,
+                         ::testing::Values(Shape{192, 144}, Shape{13, 9},
+                                           Shape{1, 17}, Shape{17, 1},
+                                           Shape{0, 0}));
 
 }  // namespace
 }  // namespace bb::imaging

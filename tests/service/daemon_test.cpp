@@ -13,7 +13,9 @@
 //   * SIGTERM drains gracefully (workers seal checkpoints, the job
 //     requeues) and kill -9 of the daemon itself is recovered on restart,
 //   * a SIGINT/SIGTERM'd `backbuster attack --stream --checkpoint` exits
-//     3 with a sealed checkpoint and resumes byte-identical.
+//     3 with a sealed checkpoint and resumes byte-identical,
+//   * a malformed or out-of-range number on any binary's command line is
+//     a usage error (exit 2) naming the flag, never a silent default.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -32,6 +34,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/faultinject.h"
@@ -647,6 +650,82 @@ TEST_F(DaemonTest, HostileShardSpecIsAUsageErrorAtTheProcessBoundary) {
                        "\" > /dev/null 2>&1"),
               2)
         << "spec '" << spec << "' must be a usage error (exit 2)";
+  }
+}
+
+// --- malformed numeric options ----------------------------------------------
+//
+// A value the binary cannot use must fail the run as a usage error (exit 2)
+// naming the flag, never fall back to the default.
+
+// Runs `cmd` with stdout discarded and returns its exit code; its stderr
+// lands in `err_path`.
+int RunCapturingStderr(const std::string& cmd, const std::string& err_path) {
+  return RunShell(cmd + " > /dev/null 2> " + err_path);
+}
+
+TEST_F(DaemonTest, BackbusterRejectsUnusableNumbers) {
+  const std::string err = OutBase("attack.err");
+  for (const auto& [flags, named] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--phi abc", "--phi"},
+           {"--phi nan", "--phi"},
+           {"--phi -5", "--phi"},
+           {"--phi inf", "--phi"},
+           {"--window 8x", "--window"}}) {
+    EXPECT_EQ(RunCapturingStderr(std::string("\"") + BACKBUSTER_BIN +
+                                     "\" attack --in " + SmallStream() +
+                                     " --out " + OutBase("attack") + " " +
+                                     flags,
+                                 err),
+              2)
+        << flags;
+    EXPECT_NE(ReadAll(err).find(named), std::string::npos)
+        << flags << ": " << ReadAll(err);
+  }
+  EXPECT_TRUE(ReadImage(OutBase("attack")).empty());
+}
+
+TEST_F(DaemonTest, AttackctlRejectsUnusableNumbersWithoutSubmitting) {
+  const std::string err = OutBase("submit.err");
+  for (const auto& [flags, named] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--shards 3x", "--shards"},
+           {"--phi abc", "--phi"},
+           {"--phi nan", "phi"},
+           {"--window 8.5", "--window"}}) {
+    EXPECT_EQ(RunCapturingStderr(std::string("\"") + ATTACKCTL_BIN +
+                                     "\" submit --spool " + root_ +
+                                     " --in " + SmallStream() + " --out " +
+                                     OutBase("job") + " " + flags,
+                                 err),
+              2)
+        << flags;
+    EXPECT_NE(ReadAll(err).find(named), std::string::npos)
+        << flags << ": " << ReadAll(err);
+  }
+  EXPECT_EQ(RunCapturingStderr(std::string("\"") + ATTACKCTL_BIN +
+                                   "\" wait --spool " + OutBase("no_spool") +
+                                   " --timeout-ms 10s",
+                               err),
+            2);
+  EXPECT_NE(ReadAll(err).find("--timeout-ms"), std::string::npos);
+  // Nothing reached the spool.
+  const auto incoming = ListJobs(root_, kIncomingDir);
+  EXPECT_TRUE(!incoming.ok() || incoming->empty());
+}
+
+TEST_F(DaemonTest, AttackdRejectsUnusableNumbers) {
+  const std::string err = OutBase("attackd.err");
+  for (const char* flag : {"--max-workers", "--queue-depth", "--poll-ms"}) {
+    EXPECT_EQ(RunCapturingStderr(std::string("\"") + ATTACKD_BIN +
+                                     "\" --spool " + root_ +
+                                     " --drain-once " + flag + " 3x",
+                                 err),
+              2)
+        << flag;
+    EXPECT_NE(ReadAll(err).find(flag), std::string::npos)
+        << flag << ": " << ReadAll(err);
   }
 }
 

@@ -33,7 +33,11 @@
 #      variants, pruned and --no-prune - both reconstructions and rankings
 #      must be byte-identical - plus the pruning gauges in the perf report
 #      (report_check --require-measured) and the kernel/pruned-search tests
-#   9. ThreadSanitizer build, determinism / parallel-runtime suites
+#   9. ThreadSanitizer build, the concurrent suites: the thread pool,
+#      trace emission, every thread-count-invariance pin (determinism,
+#      golden, streaming identity, location ranking, the shard matrix), the
+#      suites that call Segment() from pool workers, and the disc
+#      morphology and segmenter suites those paths run
 #   10. UndefinedBehaviorSanitizer build, full ctest suite (minus
 #      bench-smoke: the benches are already covered by step 2 and would
 #      dominate the sanitized runtime)
@@ -252,11 +256,19 @@ build-check/tools/report_check \
 ctest --test-dir build-check --output-on-failure -j "$JOBS" \
       -R 'Kernel|kernels|Pruned'
 
-step "ThreadSanitizer build + determinism/parallel suites"
+step "ThreadSanitizer build + concurrent suites"
 cmake -B build-check-tsan -S . -DBB_SANITIZE=thread -DBB_WERROR=ON
 cmake --build build-check-tsan -j "$JOBS"
+# Named suites, not substrings: ctest -R is case-sensitive, and a substring
+# both misses suites and catches unrelated ones.
+TSAN_SUITES='ParallelTest|TraceTest|DeterminismTest|TraceDeterminismTest'
+TSAN_SUITES+='|GoldenPipelineTest|StreamingIdentityTest|StreamingProtocolTest'
+TSAN_SUITES+='|SegmentOnceTest|RankLocationsTest|ShardTest|ShardChaosTest'
+TSAN_SUITES+='|MorphologyTest|Seeds/DistanceTransformPropertyTest'
+TSAN_SUITES+='|Shapes/DiscMorphologyExactnessTest|ClassicalSegmenterTest'
+TSAN_SUITES+='|NoisyOracleTest'
 ctest --test-dir build-check-tsan --output-on-failure -j "$JOBS" \
-      -R 'determinism|Parallel|common|core'
+      -R "^(shard\.)?($TSAN_SUITES)\."
 
 step "UndefinedBehaviorSanitizer build + full test suite"
 cmake -B build-check-ubsan -S . -DBB_SANITIZE=undefined -DBB_WERROR=ON
