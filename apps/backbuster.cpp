@@ -235,8 +235,7 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 // Location inference (paper sec. VI): rank the candidate backgrounds by
 // hue similarity to the reconstruction, best first.
 int LocateStep(const core::ReconstructionResult& rec, int width, int height,
-               const std::vector<std::string>& candidate_paths,
-               bool no_prune) {
+               const std::vector<std::string>& candidate_paths) {
   std::vector<imaging::Image> dict;
   dict.reserve(candidate_paths.size());
   for (const auto& path : candidate_paths) {
@@ -248,12 +247,8 @@ int LocateStep(const core::ReconstructionResult& rec, int width, int height,
     }
     dict.push_back(*img);
   }
-  core::LocationMatchOptions lopts;
-  lopts.prune = !no_prune;
-  const auto ranking =
-      core::RankLocations(rec.background, rec.coverage, dict, lopts);
-  std::printf("location ranking (%s search):\n",
-              no_prune ? "exhaustive" : "pruned");
+  const auto ranking = core::RankLocations(rec.background, rec.coverage, dict);
+  std::printf("location ranking:\n");
   for (std::size_t i = 0; i < ranking.size(); ++i) {
     std::printf("  %zu. %s  score %.4f\n", i + 1,
                 candidate_paths[ranking[i].index].c_str(), ranking[i].score);
@@ -265,8 +260,7 @@ int LocateStep(const core::ReconstructionResult& rec, int width, int height,
 int FinishAttack(const core::ReconstructionResult& rec, int width, int height,
                  const std::optional<std::string>& truth_path,
                  const std::string& out_base,
-                 const std::vector<std::string>& locate_paths,
-                 bool no_prune) {
+                 const std::vector<std::string>& locate_paths) {
   std::printf("recovered %.1f%% of the frame\n",
               100.0 * rec.CoverageFraction());
   if (truth_path) {
@@ -287,7 +281,7 @@ int FinishAttack(const core::ReconstructionResult& rec, int width, int height,
     std::printf("wrote %s\n", path->c_str());
   }
   if (!locate_paths.empty()) {
-    return LocateStep(rec, width, height, locate_paths, no_prune);
+    return LocateStep(rec, width, height, locate_paths);
   }
   return 0;
 }
@@ -308,8 +302,10 @@ int Attack(const cli::Args& args) {
         "                    B is a count (e.g. 5) or a percentage (e.g. 10%%)\n"
         "                    of the stream (default: unlimited; needs --stream)\n"
         "  --checkpoint FILE streaming progress checkpoint: written after\n"
-        "                    every window flush, resumed from on restart,\n"
-        "                    removed on success (needs --stream)\n"
+        "                    every window flush, resumed from on restart\n"
+        "                    (only with the same --phi and VB; otherwise\n"
+        "                    the run starts fresh), removed on success\n"
+        "                    (needs --stream)\n"
         "  --shard I/N       decompose only the I-th (0-based) of N equal\n"
         "                    frame ranges and write a sealed mergeable\n"
         "                    partial for `backbuster reduce` instead of a\n"
@@ -319,9 +315,6 @@ int Attack(const cli::Args& args) {
         "  --locate F1,F2,.. rank these candidate background images by\n"
         "                    similarity to the reconstruction (location\n"
         "                    inference; images must match the stream size)\n"
-        "  --no-prune        exhaustive transform search for --locate\n"
-        "                    instead of the pruned (early-abandon) one;\n"
-        "                    scores are bit-identical either way\n"
         "  --threads N       worker threads (default: BB_THREADS env,\n"
         "                    else all hardware threads)\n"
         "  --trace FILE      write per-stage timings/counters as JSON\n",
@@ -340,10 +333,6 @@ int Attack(const cli::Args& args) {
   }
   const auto truth_path = args.Get("truth");
   const std::vector<std::string> locate_paths = SplitCsv(args.Get("locate", ""));
-  const bool no_prune = args.GetFlag("no-prune");
-  if (no_prune && locate_paths.empty()) {
-    return Fail("--no-prune only applies to the --locate search");
-  }
   const bool stream = args.GetFlag("stream");
   const int window = static_cast<int>(args.GetInt("window", 64));
   if (window < 1) return Fail("--window must be >= 1");
@@ -533,7 +522,7 @@ int Attack(const cli::Args& args) {
           static_cast<unsigned long long>(stats.bad_frame_events));
     }
     return FinishAttack(rec, info.width, info.height, truth_path, out_base,
-                        locate_paths, no_prune);
+                        locate_paths);
   }
 
   // Batch path: load the call and reconstruct it in one window over the
@@ -572,7 +561,7 @@ int Attack(const cli::Args& args) {
     rec = std::move(*run);
   }
   return FinishAttack(*rec, info.width, info.height, truth_path, out_base,
-                      locate_paths, no_prune);
+                      locate_paths);
 }
 
 // ---- reduce -----------------------------------------------------------------
@@ -588,7 +577,6 @@ int Reduce(const cli::Args& args) {
         "  --truth FILE      score against this image (.ppm or .png)\n"
         "  --locate F1,F2,.. rank candidate backgrounds against the merged\n"
         "                    reconstruction (see `attack --help`)\n"
-        "  --no-prune        exhaustive --locate search (see `attack --help`)\n"
         "  --threads N       worker threads (default: BB_THREADS env,\n"
         "                    else all hardware threads)\n"
         "  --trace FILE      write per-stage timings/counters as JSON\n");
@@ -605,10 +593,6 @@ int Reduce(const cli::Args& args) {
   const auto truth_path = args.Get("truth");
   const std::string out_base = args.Get("out", paths.front() + ".recon");
   const std::vector<std::string> locate_paths = SplitCsv(args.Get("locate", ""));
-  const bool no_prune = args.GetFlag("no-prune");
-  if (no_prune && locate_paths.empty()) {
-    return Fail("--no-prune only applies to the --locate search");
-  }
   if (const int rc = args.RejectBadOptions()) return rc;
 
   std::vector<core::PartialResult> partials;
@@ -636,7 +620,7 @@ int Reduce(const cli::Args& args) {
         static_cast<unsigned long long>(rstats.bad_frame_events));
   }
   return FinishAttack(*merged, info.width, info.height, truth_path,
-                      out_base, locate_paths, no_prune);
+                      out_base, locate_paths);
 }
 
 // ---- info -------------------------------------------------------------------
@@ -668,7 +652,7 @@ int main(int argc, char** argv) {
   // Switches that never take a value (and so never swallow the token that
   // follows them on the command line).
   const cli::Args args =
-      cli::Args::Parse(argc, argv, {"help", "dynamic", "stream", "no-prune"});
+      cli::Args::Parse(argc, argv, {"help", "dynamic", "stream"});
   for (const auto& err : args.errors()) {
     std::fprintf(stderr, "error: %s\n", err.c_str());
   }

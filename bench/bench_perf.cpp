@@ -19,8 +19,6 @@
 
 #include "common/faultinject.h"
 #include "common/parallel.h"
-#include "core/attacks/location.h"
-#include "imaging/kernels/kernels.h"
 #include "report.h"
 #include "core/blur_masking.h"
 #include "core/reconstruction.h"
@@ -570,10 +568,10 @@ int main(int argc, char** argv) {
                      reversed->coverage == merged.coverage &&
                      reversed->leak_counts == merged.leak_counts);
   }
-  // Pruned-search probe (DESIGN.md section 15): the template-match and
-  // location sweeps with pruning off vs on over the same inputs. The shape
-  // checks pin the exactness contract (pruned == exhaustive, bit for bit);
-  // the measured ratios are the speed claim the trajectory pins.
+  // Pruned-search probe (DESIGN.md section 15): the template-match sweep
+  // with pruning off vs on over the same inputs. The shape check pins the
+  // exactness contract (pruned == exhaustive, bit for bit); the measured
+  // ratio is the speed claim the trajectory pins.
   {
     const auto raw = SharedRecording();
     const bb::imaging::Bitmap coverage(kW, kH, bb::imaging::kMaskSet);
@@ -609,47 +607,6 @@ int main(int argc, char** argv) {
     report.Measured("match_template.prune_speedup", t_exhaustive / t_pruned);
     report.Shape("pruned template search bit-identical to exhaustive",
                  pruned.found && same_match(pruned, exhaustive));
-
-    // Location sweep: rank a small dictionary (the true background among
-    // stock decoys) against a partial reconstruction - coverage is the
-    // region the caller never occludes, like a real attack's output.
-    bb::imaging::Bitmap partial_cov(kW, kH, bb::imaging::kMaskSet);
-    for (const auto& mask : raw.caller_masks) {
-      bb::imaging::kernels::MaskAndNot(partial_cov.pixels(), mask.pixels(),
-                                       partial_cov.pixels());
-    }
-    std::vector<bb::imaging::Image> dict;
-    dict.push_back(raw.true_background);
-    for (auto s : {bb::vbg::StockImage::kBeach, bb::vbg::StockImage::kOffice,
-                   bb::vbg::StockImage::kSpace, bb::vbg::StockImage::kForest,
-                   bb::vbg::StockImage::kGradient}) {
-      dict.push_back(bb::vbg::MakeStockImage(s, kW, kH));
-    }
-    const auto time_rank =
-        [&](bool prune, std::vector<bb::core::RankedCandidate>* r) {
-      bb::core::LocationMatchOptions o;
-      o.prune = prune;
-      bb::bench::Stopwatch watch;
-      for (int i = 0; i < kProbeRounds; ++i) {
-        *r = bb::core::RankLocations(raw.true_background, partial_cov, dict,
-                                     o);
-      }
-      return watch.Seconds() / kProbeRounds;
-    };
-    std::vector<bb::core::RankedCandidate> rank_pruned, rank_exhaustive;
-    const double l_exhaustive = time_rank(false, &rank_exhaustive);
-    const double l_pruned = time_rank(true, &rank_pruned);
-    bool ranks_equal = rank_pruned.size() == rank_exhaustive.size();
-    for (std::size_t i = 0; ranks_equal && i < rank_pruned.size(); ++i) {
-      ranks_equal = rank_pruned[i].index == rank_exhaustive[i].index &&
-                    rank_pruned[i].score == rank_exhaustive[i].score;
-    }
-    report.Measured("location.exhaustive [s]", l_exhaustive);
-    report.Measured("location.pruned [s]", l_pruned);
-    report.Measured("location.prune_speedup", l_exhaustive / l_pruned);
-    report.Shape("pruned location ranking bit-identical to exhaustive",
-                 ranks_equal && !rank_pruned.empty() &&
-                     rank_pruned.front().index == 0);
   }
   // Daemon throughput probe (DESIGN.md section 16): the streaming fixture
   // drained through attackd's supervisor as 3-shard jobs, once with the

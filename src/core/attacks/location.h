@@ -5,7 +5,9 @@
 // similarity to the reconstruction. Matching is hue-based at the pixel
 // level (robust to ambient-light changes between the adversary's prior
 // knowledge and the call) and searches over small rotations and shifts of
-// the reconstruction (webcam re-adjustment between calls).
+// the reconstruction (webcam re-adjustment between calls). Every shift of
+// a rotation is scored in one pass of kernels::MatchHsvLattice over the
+// candidate's padded key plane (DESIGN.md section 15).
 #pragma once
 
 #include <span>
@@ -35,11 +37,6 @@ struct LocationMatchOptions {
   // Reconstructions covering less than this fraction score 0 (nothing to
   // match on).
   double min_coverage = 0.005;
-  // Pruned shift search with exact early-abandon: a shift is dropped only
-  // when its optimistic completion provably cannot beat the running best,
-  // so every score is bit-identical to the exhaustive sweep. Disable only
-  // to cross-check or benchmark.
-  bool prune = true;
 };
 
 // Similarity in [0, 1] between the reconstruction and one candidate

@@ -14,7 +14,7 @@ namespace bb::core {
 namespace {
 
 constexpr char kMagic[4] = {'B', 'B', 'C', 'K'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 Status Corrupt(const std::string& what) {
   return Status(StatusCode::kDataLoss, what);
@@ -25,7 +25,7 @@ Status Corrupt(const std::string& what) {
 Status SaveCheckpoint(const CheckpointState& state, const std::string& path) {
   const std::size_t pixels = state.acc.pixels();
   std::string out;
-  out.reserve(72 + pixels * 7 * 8 +
+  out.reserve(80 + pixels * 7 * 8 +
               state.per_frame_leak_fraction.size() * 8);
   out.append(kMagic, 4);
   wire::PutU32(&out, kVersion);
@@ -37,6 +37,7 @@ Status SaveCheckpoint(const CheckpointState& state, const std::string& path) {
   wire::PutU32(&out, static_cast<std::uint32_t>(state.frames_done));
   wire::PutU32(&out, static_cast<std::uint32_t>(state.shard_begin));
   wire::PutU32(&out, static_cast<std::uint32_t>(state.shard_end));
+  wire::PutU64(&out, state.config_hash);
   wire::PutU32(&out, static_cast<std::uint32_t>(state.quarantined.size()));
   for (int q : state.quarantined) {
     wire::PutU32(&out, static_cast<std::uint32_t>(q));
@@ -91,10 +92,11 @@ Result<CheckpointState> LoadCheckpoint(const std::string& path) {
   }
   std::uint32_t w = 0, h = 0, frames = 0, fps_mhz = 0, frames_done = 0,
                 shard_begin = 0, shard_end = 0, quarantine_count = 0;
+  std::uint64_t config_hash = 0;
   if (!r.TakeU32(&w) || !r.TakeU32(&h) || !r.TakeU32(&frames) ||
       !r.TakeU32(&fps_mhz) || !r.TakeU32(&frames_done) ||
       !r.TakeU32(&shard_begin) || !r.TakeU32(&shard_end) ||
-      !r.TakeU32(&quarantine_count)) {
+      !r.TakeU64(&config_hash) || !r.TakeU32(&quarantine_count)) {
     return reject(Corrupt("truncated header"));
   }
   if (w > 16384 || h > 16384 || frames > 1000000 ||
@@ -113,6 +115,7 @@ Result<CheckpointState> LoadCheckpoint(const std::string& path) {
   state.frames_done = static_cast<int>(frames_done);
   state.shard_begin = static_cast<int>(shard_begin);
   state.shard_end = static_cast<int>(shard_end);
+  state.config_hash = config_hash;
   state.quarantined.reserve(quarantine_count);
   int prev = -1;
   for (std::uint32_t i = 0; i < quarantine_count; ++i) {

@@ -13,11 +13,11 @@
 // a different thread count or window size without perturbing a single
 // output bit.
 //
-// File format "BBCK" version 2 (all integers little-endian; doubles as
+// File format "BBCK" version 3 (all integers little-endian; doubles as
 // IEEE-754 bit patterns):
 //
 //   magic      "BBCK"                      4 bytes
-//   version    u32 = 2
+//   version    u32 = 3
 //   width      u32  -+
 //   height     u32   | stream identity; resume refuses a checkpoint
 //   frames     u32   | whose identity mismatches the source
@@ -27,6 +27,10 @@
 //                            and must not be re-pushed
 //   shard_begin u32 -+ decomposition range of the writing run; resume
 //   shard_end   u32 -+ refuses a checkpoint from a different shard range
+//   config_hash u64          ConfigHash(recon options, config salt) of the
+//                            writing run, the hash BBPR partials carry;
+//                            resume refuses a checkpoint written with
+//                            other options or another VB reference
 //   quarantine u32 count, then count ascending u32 frame indices
 //   pixels     u64           width*height (redundant; checked)
 //   counts     pixels * u64
@@ -34,8 +38,10 @@
 //   per_frame  frames * f64   leak fraction per frame
 //   checksum   u64            FNV-1a 64 over every preceding byte
 //
-// Version 1 (PR 5) lacked the shard range; v1 files are refused with a
-// structured version mismatch and the run starts fresh.
+// Version 1 lacked the shard range and version 2 the config hash; both
+// are refused with a structured version mismatch and the run starts
+// fresh. Window size and thread count stay outside the hash: they cannot
+// change an output bit.
 //
 // Writes are crash-consistent: the file is written to "<path>.tmp" and
 // renamed into place, so a kill mid-write leaves the previous checkpoint
@@ -60,6 +66,8 @@ struct CheckpointState {
   // checkpoint ([0, frames) for a whole-stream run).
   int shard_begin = 0;
   int shard_end = 0;
+  // ConfigHash of the writing run's reconstruction options and salt.
+  std::uint64_t config_hash = 0;
   std::vector<int> quarantined;  // ascending frame indices
   LeakAccumulators acc;          // combined per-pixel leak evidence
   std::vector<double> per_frame_leak_fraction;

@@ -34,6 +34,13 @@ void ThrowIfFailed(const Status& status) {
   if (!status.ok()) throw MaskStoreFailure(status);
 }
 
+std::string HexHash(std::uint64_t hash) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
 }  // namespace
 
 StreamingReconstructor::StreamingReconstructor(
@@ -162,6 +169,19 @@ void StreamingReconstructor::TryResumeFromCheckpoint() {
                    ") (this run decomposes [" +
                    std::to_string(shard_begin_) + ", " +
                    std::to_string(shard_end_) + "))")
+            .WithContext("checkpoint " + opts_.checkpoint_path);
+    return;
+  }
+  const std::uint64_t config_hash = ConfigHash(opts_.recon, opts_.config_salt);
+  if (st.config_hash != config_hash) {
+    // Accumulators built with another phi, tolerance or VB reference would
+    // blend into this run's and match neither configuration.
+    checkpoint_status_ =
+        Status(StatusCode::kFailedPrecondition,
+               "checkpoint was written with a different reconstruction "
+               "configuration (config hash " +
+                   HexHash(st.config_hash) + ", this run " +
+                   HexHash(config_hash) + ")")
             .WithContext("checkpoint " + opts_.checkpoint_path);
     return;
   }
@@ -419,6 +439,7 @@ void StreamingReconstructor::SaveCheckpointNow(int frames_done) {
   st.frames_done = frames_done;
   st.shard_begin = shard_begin_;
   st.shard_end = shard_end_;
+  st.config_hash = ConfigHash(opts_.recon, opts_.config_salt);
   for (int i = 0; i < info_.frame_count; ++i) {
     if (quarantine_[static_cast<std::size_t>(i)] != 0) {
       st.quarantined.push_back(i);

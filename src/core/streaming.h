@@ -58,7 +58,8 @@
 //     stale checkpoint is discarded with a structured reason
 //     (checkpoint_status()) and the run starts fresh. Shard workers
 //     checkpoint within their own slice; a checkpoint written for a
-//     different shard range is refused like a different stream.
+//     different shard range, or with a different ConfigHash(recon,
+//     config_salt), is refused like a different stream.
 //   * With no faults, budgets, or checkpoint configured, all of this is a
 //     few integer compares per frame - outputs are byte-identical to the
 //     pre-fault-tolerance pipeline.
@@ -112,10 +113,10 @@ struct StreamingOptions {
   // Incompatible with recon.keep_frame_masks. shard_count = 0 disables.
   int shard_index = 0;
   int shard_count = 0;
-  // Mixed into the partial's config hash (core/partial.h ConfigHash) so a
-  // reducer refuses partials built against different VB references; callers
-  // fold the reference identity in here. Ignored outside shard mode except
-  // by FinalizePartial().
+  // Mixed into the config hash (core/partial.h ConfigHash) that partials
+  // and checkpoints carry, so a reducer refuses partials, and a resume
+  // refuses a checkpoint, built against a different VB reference; callers
+  // fold the reference identity in here.
   std::uint64_t config_salt = 0;
 
   // Cooperative cancellation: when non-null and the pointee becomes true

@@ -16,7 +16,6 @@
 namespace bb::detect {
 
 using imaging::Bitmap;
-using imaging::Hsv;
 using imaging::Image;
 using imaging::Rect;
 
@@ -54,26 +53,45 @@ namespace {
 // kernels::MatchHsvBounded.
 struct TemplateSamples {
   std::vector<std::int32_t> xs, ys;
-  std::vector<Hsv> hsv;
+  std::vector<float> key;
+  std::vector<std::uint8_t> cls;
 
   bool empty() const { return xs.empty(); }
+  kernels::HsvKeySpan keys() const { return {key, cls}; }
 };
 
 TemplateSamples CollectSamples(const Image& img, const Bitmap& valid,
                                int tstride,
-                               const std::optional<imaging::Rgb8>& ignore) {
+                               const std::optional<imaging::Rgb8>& ignore,
+                               float min_saturation) {
   TemplateSamples out;
   for (int y = 0; y < img.height(); y += tstride) {
     for (int x = 0; x < img.width(); x += tstride) {
       if (!valid.empty() && !valid(x, y)) continue;
       if (ignore && img(x, y) == *ignore) continue;  // canvas filler
+      const kernels::HsvKey k = kernels::HsvKeyOf(img(x, y), min_saturation);
       out.xs.push_back(x);
       out.ys.push_back(y);
-      out.hsv.push_back(imaging::RgbToHsv(img(x, y)));
+      out.key.push_back(k.key);
+      out.cls.push_back(k.cls);
     }
   }
   return out;
 }
+
+// Exact match keys of every pixel of an image (kernels::RgbToHsvKeys).
+struct KeyGrid {
+  imaging::ImageT<float> key;
+  Bitmap cls;
+
+  KeyGrid() = default;
+  KeyGrid(const Image& img, float min_saturation)
+      : key(img.width(), img.height()), cls(img.width(), img.height()) {
+    kernels::RgbToHsvKeys(img.pixels(), {}, min_saturation, key.pixels(),
+                          cls.pixels());
+  }
+  kernels::HsvKeySpan keys() const { return {key.pixels(), cls.pixels()}; }
+};
 
 // Everything derived from the template for one (scale, rotation) pair,
 // computed once up front. The scaled image itself is derived once per
@@ -112,21 +130,19 @@ TemplateMatchResult MatchTemplate(const Image& reconstruction,
   const int gw = reconstruction.width();
   const int gh = reconstruction.height();
 
-  // Precompute the reconstruction's HSV once.
-  imaging::ImageT<Hsv> recon_hsv(gw, gh);
-  kernels::RgbToHsvSpan(reconstruction.pixels(), recon_hsv.pixels());
+  // Precompute the reconstruction's match keys once.
+  const KeyGrid recon_keys(reconstruction, opts.min_saturation);
 
   // Coarse level for visit ordering (pruned mode only): the reconstruction's
   // 2x pyramid level plus a matching nearest-neighbour coverage grid. The
   // coarse pass only *orders* windows - every returned number still comes
   // from the fine evaluation - so it cannot change results, only how early
   // the incumbent gets good and how much the bound prunes.
-  imaging::ImageT<Hsv> coarse_hsv;
+  KeyGrid coarse_keys;
   Bitmap coarse_cov;
   if (opts.prune) {
     const Image coarse_img = Downsample2xImage(reconstruction);
-    coarse_hsv = imaging::ImageT<Hsv>(coarse_img.width(), coarse_img.height());
-    kernels::RgbToHsvSpan(coarse_img.pixels(), coarse_hsv.pixels());
+    coarse_keys = KeyGrid(coarse_img, opts.min_saturation);
     coarse_cov = imaging::ResizeNearest(coverage, coarse_img.width(),
                                         coarse_img.height());
   }
@@ -190,24 +206,27 @@ TemplateMatchResult MatchTemplate(const Image& reconstruction,
         // template pixels keep contributing samples.
         if (plan.rotation == 0.0) {
           plan.fine = CollectSamples(scaled, Bitmap(), tstride,
-                                     opts.ignore_exact_color);
+                                     opts.ignore_exact_color,
+                                     opts.min_saturation);
           if (opts.prune && !plan.fine.empty()) {
             plan.coarse = CollectSamples(Downsample2xImage(scaled), Bitmap(),
-                                         tstride, std::nullopt);
+                                         tstride, std::nullopt,
+                                         opts.min_saturation);
           }
         } else {
           Image rotated = pool.AcquireImage(tw, th);
           Bitmap rot_valid = pool.AcquireBitmap(tw, th);
           imaging::RotateInto(scaled, plan.rotation, &rot_valid, &rotated);
           plan.fine = CollectSamples(rotated, rot_valid, tstride,
-                                     opts.ignore_exact_color);
+                                     opts.ignore_exact_color,
+                                     opts.min_saturation);
           if (opts.prune && !plan.fine.empty()) {
             const Image coarse_tmpl = Downsample2xImage(rotated);
             plan.coarse = CollectSamples(
                 coarse_tmpl,
                 imaging::ResizeNearest(rot_valid, coarse_tmpl.width(),
                                        coarse_tmpl.height()),
-                tstride, std::nullopt);
+                tstride, std::nullopt, opts.min_saturation);
           }
           pool.Release(std::move(rotated));
           pool.Release(std::move(rot_valid));
@@ -269,9 +288,10 @@ TemplateMatchResult MatchTemplate(const Image& reconstruction,
       // before most of the sweep starts.
       for (Pos& p : positions) {
         const kernels::WindowScore ws = kernels::MatchHsvBounded(
-            plan.coarse.hsv, plan.coarse.xs, plan.coarse.ys,
-            coarse_hsv.pixels(), coarse_hsv.width(), coarse_hsv.height(),
-            coarse_cov.pixels(), p.wx / 2, p.wy / 2, params,
+            plan.coarse.keys(), plan.coarse.xs, plan.coarse.ys,
+            coarse_keys.keys(), coarse_keys.key.width(),
+            coarse_keys.key.height(), coarse_cov.pixels(), p.wx / 2,
+            p.wy / 2, params,
             /*best_matched=*/0, /*best_compared=*/0, /*tie_wins=*/false,
             /*min_compared=*/0);
         p.cm = ws.matched;
@@ -296,7 +316,7 @@ TemplateMatchResult MatchTemplate(const Image& reconstruction,
       // coarse-pass visit order.
       const bool tie_wins = job.any && p.order < job.best_order;
       const kernels::WindowScore ws = kernels::MatchHsvBounded(
-          plan.fine.hsv, plan.fine.xs, plan.fine.ys, recon_hsv.pixels(), gw,
+          plan.fine.keys(), plan.fine.xs, plan.fine.ys, recon_keys.keys(), gw,
           gh, coverage.pixels(), p.wx, p.wy, params,
           opts.prune ? job.best_m : 0, opts.prune ? job.best_c : 0, tie_wins,
           opts.prune ? min_compared : 0);

@@ -1,50 +1,117 @@
 #include "imaging/connected_components.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 namespace bb::imaging {
 
+namespace {
+
+// A maximal horizontal run of set pixels, [x0, x1] inclusive, on row y.
+struct Run {
+  int y = 0;
+  int x0 = 0;
+  int x1 = 0;
+};
+
+// Union-find over run indices. The root of a set is always its smallest
+// index, so once every union is done a component's root is its first run
+// in raster order.
+int FindRoot(std::vector<int>& parent, int r) {
+  while (parent[static_cast<std::size_t>(r)] != r) {
+    const int up = parent[static_cast<std::size_t>(r)];
+    parent[static_cast<std::size_t>(r)] =
+        parent[static_cast<std::size_t>(up)];  // path halving
+    r = up;
+  }
+  return r;
+}
+
+void Unite(std::vector<int>& parent, int a, int b) {
+  a = FindRoot(parent, a);
+  b = FindRoot(parent, b);
+  if (a == b) return;
+  if (a < b) std::swap(a, b);
+  parent[static_cast<std::size_t>(a)] = b;
+}
+
+}  // namespace
+
+// Run-length union-find labeling: one pass collects each row's runs and
+// unites every run with the runs of the row above that touch it (sharing
+// a column, or also a corner with 8-connectivity). Labels number the
+// components by their first run in raster order - the order in which a
+// raster-scan flood fill meets them - and area, bounding box and centroid
+// come from the runs. The centroid sums are integers, so they are exact.
 Labeling LabelComponents(const Bitmap& mask, Connectivity connectivity) {
   const int w = mask.width(), h = mask.height();
   Labeling out;
   out.labels = ImageT<int>(w, h, 0);
   if (w == 0 || h == 0) return out;
 
-  std::vector<Point> stack;
-  int next_label = 0;
+  const int reach = connectivity == Connectivity::kEight ? 1 : 0;
+  std::vector<Run> runs;
+  std::vector<int> parent;
+  std::size_t above_begin = 0, above_end = 0;  // the previous row's runs
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (!mask(x, y) || out.labels(x, y) != 0) continue;
-      ++next_label;
-      Component comp;
-      comp.label = next_label;
-      comp.bbox = {x, y, 1, 1};
-      double sum_x = 0.0, sum_y = 0.0;
-      stack.push_back({x, y});
-      out.labels(x, y) = next_label;
-      while (!stack.empty()) {
-        const Point p = stack.back();
-        stack.pop_back();
-        ++comp.area;
-        sum_x += p.x;
-        sum_y += p.y;
-        comp.bbox = comp.bbox.Union({p.x, p.y, 1, 1});
-        constexpr int kDx[] = {1, -1, 0, 0, 1, 1, -1, -1};
-        constexpr int kDy[] = {0, 0, 1, -1, 1, -1, 1, -1};
-        const int neighbours =
-            connectivity == Connectivity::kEight ? 8 : 4;
-        for (int k = 0; k < neighbours; ++k) {
-          const int nx = p.x + kDx[k], ny = p.y + kDy[k];
-          if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
-          if (!mask(nx, ny) || out.labels(nx, ny) != 0) continue;
-          out.labels(nx, ny) = next_label;
-          stack.push_back({nx, ny});
-        }
+    const auto row = mask.row(y);
+    const std::size_t row_begin = runs.size();
+    std::size_t above = above_begin;
+    for (int x = 0; x < w;) {
+      if (!row[static_cast<std::size_t>(x)]) {
+        ++x;
+        continue;
       }
-      comp.centroid = {sum_x / static_cast<double>(comp.area),
-                       sum_y / static_cast<double>(comp.area)};
-      out.components.push_back(comp);
+      const int x0 = x;
+      while (x < w && row[static_cast<std::size_t>(x)]) ++x;
+      const Run run{y, x0, x - 1};
+      const int index = static_cast<int>(runs.size());
+      runs.push_back(run);
+      parent.push_back(index);
+      // Runs above that end left of this run's reach can touch no later
+      // run of this row either.
+      while (above < above_end && runs[above].x1 + reach < run.x0) ++above;
+      for (std::size_t a = above;
+           a < above_end && runs[a].x0 <= run.x1 + reach; ++a) {
+        Unite(parent, static_cast<int>(a), index);
+      }
     }
+    above_begin = row_begin;
+    above_end = runs.size();
+  }
+
+  // Number the roots in raster order, then paint and measure every run.
+  std::vector<int> label_of(runs.size(), 0);  // filled for roots only
+  std::vector<std::int64_t> sum_x, sum_y;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const Run& run = runs[r];
+    const auto root = static_cast<std::size_t>(
+        FindRoot(parent, static_cast<int>(r)));
+    if (root == r) {
+      Component comp;
+      comp.label = static_cast<int>(out.components.size()) + 1;
+      out.components.push_back(comp);
+      sum_x.push_back(0);
+      sum_y.push_back(0);
+      label_of[r] = comp.label;
+    }
+    const int label = label_of[root];
+    const auto slot = static_cast<std::size_t>(label - 1);
+    Component& comp = out.components[slot];
+    const std::int64_t len = run.x1 - run.x0 + 1;
+    comp.area += static_cast<std::size_t>(len);
+    sum_x[slot] += (static_cast<std::int64_t>(run.x0) + run.x1) * len / 2;
+    sum_y[slot] += static_cast<std::int64_t>(run.y) * len;
+    comp.bbox = comp.bbox.Union({run.x0, run.y, static_cast<int>(len), 1});
+    const auto row = out.labels.row(run.y);
+    std::fill(row.begin() + run.x0, row.begin() + run.x1 + 1, label);
+  }
+  for (std::size_t c = 0; c < out.components.size(); ++c) {
+    Component& comp = out.components[c];
+    const double area = static_cast<double>(comp.area);
+    comp.centroid = {static_cast<double>(sum_x[c]) / area,
+                     static_cast<double>(sum_y[c]) / area};
   }
   return out;
 }

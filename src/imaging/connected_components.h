@@ -27,7 +27,8 @@ struct Labeling {
 enum class Connectivity { kFour, kEight };
 
 // Labels all connected components of set pixels (4-connectivity by
-// default; 8-connectivity also links diagonal neighbours).
+// default; 8-connectivity also links diagonal neighbours). Components are
+// numbered in the raster order of their first pixel.
 Labeling LabelComponents(const Bitmap& mask,
                          Connectivity connectivity = Connectivity::kFour);
 

@@ -287,10 +287,17 @@ void MergeRgb(std::span<const float> r, std::span<const float> g,
   }
 }
 
-void RgbToHsvSpan(std::span<const Rgb8> px, std::span<Hsv> out) {
-  assert(px.size() == out.size());
+void RgbToHsvKeys(std::span<const Rgb8> px,
+                  std::span<const std::uint8_t> valid, float min_saturation,
+                  std::span<float> key, std::span<std::uint8_t> cls) {
+  assert(px.size() == key.size() && px.size() == cls.size());
+  assert(valid.empty() || valid.size() == px.size());
   for (std::size_t i = 0; i < px.size(); ++i) {
-    out[i] = RgbToHsv(px[i]);
+    const HsvKey k = HsvKeyOf(px[i], min_saturation);
+    const unsigned eligible =
+        valid.empty() ? 1u : static_cast<unsigned>(valid[i] != 0);
+    key[i] = k.key;
+    cls[i] = static_cast<std::uint8_t>(k.cls * eligible);
   }
 }
 
@@ -378,15 +385,15 @@ std::size_t MaskedAccumulateRgb(std::span<const Rgb8> frame,
   return leaked;
 }
 
-WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
-                            std::span<const std::int32_t> xs,
-                            std::span<const std::int32_t> ys,
-                            std::span<const Hsv> grid, std::int32_t gw,
-                            std::int32_t gh, std::span<const std::uint8_t> cov,
-                            std::int32_t dx, std::int32_t dy,
-                            const HsvMatchParams& p, std::int64_t best_matched,
+WindowScore MatchHsvBounded(HsvKeySpan tmpl, std::span<const std::int32_t> xs,
+                            std::span<const std::int32_t> ys, HsvKeySpan grid,
+                            std::int32_t gw, std::int32_t gh,
+                            std::span<const std::uint8_t> cov, std::int32_t dx,
+                            std::int32_t dy, const HsvMatchParams& p,
+                            std::int64_t best_matched,
                             std::int64_t best_compared, bool tie_wins,
                             std::int32_t min_compared) {
+  assert(tmpl.cls.size() == tmpl.size() && grid.cls.size() == grid.size());
   assert(tmpl.size() == xs.size() && tmpl.size() == ys.size());
   assert(grid.size() ==
          static_cast<std::size_t>(gw) * static_cast<std::size_t>(gh));
@@ -413,8 +420,9 @@ WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
           in_bounds & (cov.empty() ? 1u : static_cast<unsigned>(cov[idx] != 0));
       chunk_compared += static_cast<std::int32_t>(eligible);
       chunk_matched += static_cast<std::int32_t>(
-          eligible &
-          static_cast<unsigned>(HsvPixelsMatch(tmpl[k], grid[idx], p)));
+          eligible & static_cast<unsigned>(HsvKeysMatch(
+                         tmpl.key[k], tmpl.cls[k], grid.key[idx],
+                         grid.cls[idx], HsvTolerance(tmpl.cls[k], p))));
     }
     ws.matched += chunk_matched;
     ws.compared += chunk_compared;
@@ -437,6 +445,38 @@ WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
     }
   }
   return ws;
+}
+
+void MatchHsvLattice(HsvKeySpan samples, std::span<const float> tolerance,
+                     std::span<const std::int32_t> base, HsvKeySpan plane,
+                     std::span<const std::int32_t> offsets,
+                     std::span<std::int32_t> matched,
+                     std::span<std::int32_t> compared) {
+  assert(samples.cls.size() == samples.size() &&
+         plane.cls.size() == plane.size());
+  assert(tolerance.size() == samples.size() && base.size() == samples.size());
+  assert(matched.size() == offsets.size() &&
+         compared.size() == offsets.size());
+  const std::size_t n = samples.size();
+  const float* key = plane.key.data();
+  const std::uint8_t* cls = plane.cls.data();
+  // Offset-major: each pass streams the sample arrays once and gathers
+  // from one shifted copy of the sample pattern. The plane's padding is
+  // what makes every gather legal, so the body is a fixed expression.
+  for (std::size_t s = 0; s < offsets.size(); ++s) {
+    const std::int32_t off = offsets[s];
+    std::int32_t m = 0, c = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::int32_t i = base[k] + off;
+      assert(i >= 0 && static_cast<std::size_t>(i) < plane.size());
+      const std::uint8_t cell = cls[i];
+      c += static_cast<std::int32_t>(cell != kHsvIneligible);
+      m += static_cast<std::int32_t>(HsvKeysMatch(
+          samples.key[k], samples.cls[k], key[i], cell, tolerance[k]));
+    }
+    matched[s] = m;
+    compared[s] = c;
+  }
 }
 
 }  // namespace bb::imaging::kernels

@@ -15,6 +15,7 @@
 // this layer.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -34,16 +35,52 @@ struct HsvMatchParams {
   float value_tolerance = 0.22f;
 };
 
-// The per-element predicate: near-gray pixels only ever match other
-// near-gray pixels (on value); colored pixels match on hue.
-inline bool HsvPixelsMatch(const Hsv& a, const Hsv& b,
-                           const HsvMatchParams& p) {
-  const bool a_gray = a.s < p.min_saturation;
-  const bool b_gray = b.s < p.min_saturation;
-  if (a_gray != b_gray) return false;
-  if (a_gray) return std::fabs(a.v - b.v) <= p.value_tolerance;
-  return HueDistance(a.h, b.h) <= p.hue_tolerance;
+// Exact HSV match keys (DESIGN.md section 15). A match reads one number
+// per pixel: the value of a near-gray pixel (s < min_saturation), else the
+// hue. The class byte keeps the two kinds apart; kHsvIneligible marks a
+// plane cell that takes part in no match (padding, or not covered).
+inline constexpr std::uint8_t kHsvIneligible = 0;
+inline constexpr std::uint8_t kHsvGray = 1;
+inline constexpr std::uint8_t kHsvColor = 2;
+
+struct HsvKey {
+  float key = 0.0f;
+  std::uint8_t cls = kHsvIneligible;
+};
+
+inline HsvKey HsvKeyOf(Rgb8 c, float min_saturation) {
+  const Hsv hsv = RgbToHsv(c);
+  const bool gray = hsv.s < min_saturation;
+  return {gray ? hsv.v : hsv.h, gray ? kHsvGray : kHsvColor};
 }
+
+// The per-element predicate: near-gray pixels only ever match other
+// near-gray pixels (on value); colored pixels match on hue. RgbToHsv's hue
+// lies in [0, 360), so the reduction inside HueDistance is the identity and
+// the shortest angle is min(d, 360 - d) with d = |ka - kb|. A value gap is
+// at most 1, so the same fold leaves it alone: one expression serves both
+// classes and agrees with the Hsv-based predicate on every pair of Rgb8
+// pixels (tests/imaging/kernels_test.cpp checks it). `ca` is a sample's
+// class, never kHsvIneligible, so an ineligible `cb` never matches.
+inline bool HsvKeysMatch(float ka, std::uint8_t ca, float kb, std::uint8_t cb,
+                         float tolerance) {
+  const float d = std::fabs(ka - kb);
+  return (ca == cb) & (std::min(d, 360.0f - d) <= tolerance);
+}
+
+// The tolerance a key of class `cls` is matched with.
+inline float HsvTolerance(std::uint8_t cls, const HsvMatchParams& p) {
+  return cls == kHsvGray ? p.value_tolerance : p.hue_tolerance;
+}
+
+// A run of keys in structure-of-arrays form; both spans have one entry per
+// pixel or sample.
+struct HsvKeySpan {
+  std::span<const float> key;
+  std::span<const std::uint8_t> cls;
+
+  std::size_t size() const { return key.size(); }
+};
 
 // Integer window score: matched / compared sample counts. Fractions are
 // compared exactly by int64 cross-multiplication (counts are bounded by the
@@ -129,7 +166,11 @@ void SplitRgb(std::span<const Rgb8> px, std::span<float> r,
               std::span<float> g, std::span<float> b);
 void MergeRgb(std::span<const float> r, std::span<const float> g,
               std::span<const float> b, std::span<Rgb8> px);
-void RgbToHsvSpan(std::span<const Rgb8> px, std::span<Hsv> out);
+// HSV match keys of every pixel (HsvKeyOf). Where `valid` is clear the
+// class is kHsvIneligible; empty `valid` means every pixel is eligible.
+void RgbToHsvKeys(std::span<const Rgb8> px,
+                  std::span<const std::uint8_t> valid, float min_saturation,
+                  std::span<float> key, std::span<std::uint8_t> cls);
 // 4096-bucket channel histogram over masked pixels; returns the number
 // of counted pixels. `counts` must have kColorBucketCount entries.
 std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
@@ -156,7 +197,7 @@ std::size_t MaskedAccumulateRgb(
     std::span<double> sum_g, std::span<double> sum_b,
     std::span<double> sum_r2, std::span<double> sum_g2,
     std::span<double> sum_b2);
-// Bounded HSV sample match: template sample k (hsv tmpl[k] at
+// Bounded HSV sample match: template sample k (key tmpl[k] at
 // (xs[k], ys[k])) is compared against grid pixel (xs[k]+dx, ys[k]+dy)
 // when that lands in the gw x gh grid and - if `cov` is non-empty - its
 // coverage byte is set. Early-abandons at a 64-sample chunk boundary as
@@ -166,12 +207,24 @@ std::size_t MaskedAccumulateRgb(
 // can no longer reach min_compared. The chunk boundaries are part of the
 // contract, so abandoned scores are exact too.
 WindowScore MatchHsvBounded(
-    std::span<const Hsv> tmpl, std::span<const std::int32_t> xs,
-    std::span<const std::int32_t> ys, std::span<const Hsv> grid,
-    std::int32_t gw, std::int32_t gh, std::span<const std::uint8_t> cov,
-    std::int32_t dx, std::int32_t dy, const HsvMatchParams& p,
-    std::int64_t best_matched, std::int64_t best_compared, bool tie_wins,
-    std::int32_t min_compared);
+    HsvKeySpan tmpl, std::span<const std::int32_t> xs,
+    std::span<const std::int32_t> ys, HsvKeySpan grid, std::int32_t gw,
+    std::int32_t gh, std::span<const std::uint8_t> cov, std::int32_t dx,
+    std::int32_t dy, const HsvMatchParams& p, std::int64_t best_matched,
+    std::int64_t best_compared, bool tie_wins, std::int32_t min_compared);
+// Shift-lattice HSV match (the location search): sample k, matched with
+// `tolerance[k]`, sits at index base[k] of a key plane and is compared,
+// for every lattice point s, against cell base[k] + offsets[s] when that
+// cell is not kHsvIneligible. Writes matched[s] / compared[s] for every
+// offset. Each base[k] + offsets[s] must index the plane: the caller pads
+// the plane with ineligible cells so that no sample leaves it, which keeps
+// the loop free of bounds tests. No abandon: every offset is counted in
+// full.
+void MatchHsvLattice(HsvKeySpan samples, std::span<const float> tolerance,
+                     std::span<const std::int32_t> base, HsvKeySpan plane,
+                     std::span<const std::int32_t> offsets,
+                     std::span<std::int32_t> matched,
+                     std::span<std::int32_t> compared);
 
 // Exact comparison of two match fractions m1/c1 vs m2/c2 (c >= 0) without
 // division: the search layers use this for incumbent updates so pruned and

@@ -55,10 +55,14 @@ inline Hsv RgbToHsv(Rgb8 c) {
   Hsv out;
   out.v = mx;
   out.s = (mx <= 0.0f) ? 0.0f : d / mx;
+  // (g - b) / d lies in [-1, 1] when r is the maximum, so the textbook
+  // fmod(..., 6) is the identity there and is left out. Every hue lands in
+  // [0, 360) (the largest is 359.7647, never 360 and never -0): the
+  // exactness of the HSV match keys rests on it (kernels.h).
   if (d <= 0.0f) {
     out.h = 0.0f;
   } else if (mx == r) {
-    out.h = 60.0f * std::fmod((g - b) / d, 6.0f);
+    out.h = 60.0f * ((g - b) / d);
   } else if (mx == g) {
     out.h = 60.0f * ((b - r) / d + 2.0f);
   } else {
@@ -68,7 +72,8 @@ inline Hsv RgbToHsv(Rgb8 c) {
   return out;
 }
 
-// Shortest angular distance between two hues, in [0, 180].
+// Shortest angular distance between two hues, in [0, 180]. Hues outside
+// [0, 360) are reduced first; RgbToHsv never produces one.
 inline float HueDistance(float h1, float h2) {
   float d = std::fabs(std::fmod(h1, 360.0f) - std::fmod(h2, 360.0f));
   if (d > 180.0f) d = 360.0f - d;

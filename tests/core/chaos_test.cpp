@@ -21,6 +21,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/faultinject.h"
@@ -498,6 +499,72 @@ TEST_F(ChaosTest, ResumeCarriesTheQuarantineAndHonorsTheBudget) {
   EXPECT_TRUE(resumed.stats().resumed);
   EXPECT_EQ(resumed.QuarantinedFrames(), bad);
   ExpectIdentical(*run, baseline, "quarantined resume");
+  std::remove(path.c_str());
+}
+
+// A checkpoint carries ConfigHash(recon, config_salt): a rerun with
+// another phi, or against another VB reference (the salt), must start
+// fresh instead of blending the old run's accumulators into its own.
+TEST_F(ChaosTest, ResumeRefusesAnotherConfiguration) {
+  const ChaosFixture& f = ChaosFixture::Shared();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  const std::string path = TestPath("reconfigured.bbck");
+  common::SetThreadCount(1);
+
+  StreamingOptions written;
+  written.window_frames = 10;
+  written.checkpoint_path = path;
+  written.recon.phi = 20.0;
+  written.config_salt = 11;
+
+  StreamingOptions other_phi = written;
+  other_phi.recon.phi = 4.0;
+  StreamingOptions other_salt = written;
+  other_salt.config_salt = 12;
+
+  for (const auto& [what, rerun] :
+       {std::pair<std::string, StreamingOptions>{"phi", other_phi},
+        std::pair<std::string, StreamingOptions>{"salt", other_salt}}) {
+    std::remove(path.c_str());
+    StreamingOptions clean_opts = rerun;
+    clean_opts.checkpoint_path.clear();
+    auto base_seg = MakeOracle(f);
+    StreamingReconstructor clean(ref, *base_seg, clean_opts);
+    video::VideoStreamSource clean_source(f.call.video);
+    const ReconstructionResult baseline = clean.Run(clean_source).value();
+    {
+      // Interrupt a run with the written configuration after two window
+      // flushes of its decomposition pass.
+      auto seg = MakeOracle(f);
+      StreamingReconstructor interrupted(ref, *seg, written);
+      video::VideoStreamSource source(f.call.video);
+      interrupted.Begin(source.info());
+      interrupted.BeginPass(0);
+      for (int i = 0; i < f.call.video.frame_count(); ++i) {
+        interrupted.PushFrame(f.call.video.frame(i), i);
+      }
+      interrupted.EndPass(0);
+      interrupted.BeginPass(1);
+      for (int i = 0; i < 25; ++i) {
+        interrupted.PushFrame(f.call.video.frame(i), i);
+      }
+      ASSERT_EQ(interrupted.stats().checkpoint_writes, 2u) << what;
+    }
+    auto seg = MakeOracle(f);
+    StreamingReconstructor resumed(ref, *seg, rerun);
+    video::VideoStreamSource source(f.call.video);
+    const auto run = resumed.Run(source);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_FALSE(resumed.stats().resumed) << what;
+    EXPECT_EQ(resumed.checkpoint_status().code(),
+              StatusCode::kFailedPrecondition)
+        << what;
+    EXPECT_NE(resumed.checkpoint_status().message().find(
+                  "different reconstruction configuration"),
+              std::string::npos)
+        << resumed.checkpoint_status().ToString();
+    ExpectIdentical(*run, baseline, what);
+  }
   std::remove(path.c_str());
 }
 

@@ -29,6 +29,7 @@ CheckpointState SampleState() {
   state.frames_done = 6;
   state.shard_begin = 0;
   state.shard_end = 10;
+  state.config_hash = 0x0123456789abcdefULL;
   state.quarantined = {2, 7};
   const std::size_t pixels = 4 * 3;
   for (std::size_t i = 0; i < pixels; ++i) {
@@ -92,6 +93,7 @@ TEST(CheckpointTest, RoundTripsEveryField) {
   EXPECT_EQ(loaded->frames_done, saved.frames_done);
   EXPECT_EQ(loaded->shard_begin, saved.shard_begin);
   EXPECT_EQ(loaded->shard_end, saved.shard_end);
+  EXPECT_EQ(loaded->config_hash, saved.config_hash);
   EXPECT_EQ(loaded->quarantined, saved.quarantined);
   EXPECT_EQ(loaded->acc.counts, saved.acc.counts);
   EXPECT_EQ(loaded->acc.sum_r, saved.acc.sum_r);
@@ -170,13 +172,20 @@ TEST(CheckpointTest, VersionMismatchIsFailedPrecondition) {
   ASSERT_TRUE(SaveCheckpoint(SampleState(), path).ok());
   std::string body = ReadFile(path);
   body.resize(body.size() - 8);  // drop the old checksum
-  body[4] = 3;                   // version u32 little-endian at bytes 4..7
-  WriteFile(path, Reseal(body));
-  const auto loaded = LoadCheckpoint(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(loaded.status().message().find("unsupported checkpoint version 3"),
-            std::string::npos);
+  // Version u32 little-endian at bytes 4..7: a v2 file (no config hash)
+  // and a future v4 are both refused.
+  for (const int version : {2, 4}) {
+    body[4] = static_cast<char>(version);
+    WriteFile(path, Reseal(body));
+    const auto loaded = LoadCheckpoint(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(loaded.status().message().find(
+                  "unsupported checkpoint version " + std::to_string(version) +
+                  " (want 3)"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

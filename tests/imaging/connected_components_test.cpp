@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include <vector>
+
 #include "imaging/draw.h"
+#include "synth/rng.h"
 
 namespace bb::imaging {
 namespace {
@@ -81,6 +86,109 @@ TEST(ConnectedComponentsTest, LargestComponent) {
 
 TEST(ConnectedComponentsTest, LargestOfEmptyIsEmpty) {
   EXPECT_EQ(CountSet(LargestComponent(Bitmap(4, 4))), 0u);
+}
+
+// The stack flood fill LabelComponents used before the run-length
+// labeler: components numbered in the raster order of their first pixel,
+// centroids from per-pixel sums.
+Labeling FloodFillReference(const Bitmap& mask, Connectivity connectivity) {
+  const int w = mask.width(), h = mask.height();
+  Labeling out;
+  out.labels = ImageT<int>(w, h, 0);
+  if (w == 0 || h == 0) return out;
+  std::vector<Point> stack;
+  int next_label = 0;
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (!mask(x, y) || out.labels(x, y) != 0) continue;
+      ++next_label;
+      Component comp;
+      comp.label = next_label;
+      comp.bbox = {x, y, 1, 1};
+      double sum_x = 0.0, sum_y = 0.0;
+      stack.push_back({x, y});
+      out.labels(x, y) = next_label;
+      while (!stack.empty()) {
+        const Point p = stack.back();
+        stack.pop_back();
+        ++comp.area;
+        sum_x += p.x;
+        sum_y += p.y;
+        comp.bbox = comp.bbox.Union({p.x, p.y, 1, 1});
+        constexpr int kDx[] = {1, -1, 0, 0, 1, 1, -1, -1};
+        constexpr int kDy[] = {0, 0, 1, -1, 1, -1, 1, -1};
+        const int neighbours = connectivity == Connectivity::kEight ? 8 : 4;
+        for (int k = 0; k < neighbours; ++k) {
+          const int nx = p.x + kDx[k], ny = p.y + kDy[k];
+          if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
+          if (!mask(nx, ny) || out.labels(nx, ny) != 0) continue;
+          out.labels(nx, ny) = next_label;
+          stack.push_back({nx, ny});
+        }
+      }
+      comp.centroid = {sum_x / static_cast<double>(comp.area),
+                       sum_y / static_cast<double>(comp.area)};
+      out.components.push_back(comp);
+    }
+  }
+  return out;
+}
+
+void ExpectSameLabeling(const Labeling& got, const Labeling& want) {
+  ASSERT_EQ(got.labels.width(), want.labels.width());
+  ASSERT_EQ(got.labels.height(), want.labels.height());
+  EXPECT_TRUE(std::equal(got.labels.pixels().begin(),
+                         got.labels.pixels().end(),
+                         want.labels.pixels().begin()));
+  ASSERT_EQ(got.components.size(), want.components.size());
+  for (std::size_t i = 0; i < want.components.size(); ++i) {
+    const Component& g = got.components[i];
+    const Component& r = want.components[i];
+    EXPECT_EQ(g.label, r.label) << i;
+    EXPECT_EQ(g.area, r.area) << i;
+    EXPECT_EQ(g.bbox, r.bbox) << i;
+    // Equal as doubles: both centroids divide exact integer sums.
+    EXPECT_EQ(g.centroid.x, r.centroid.x) << i;
+    EXPECT_EQ(g.centroid.y, r.centroid.y) << i;
+  }
+}
+
+// Random masks of odd and degenerate shapes at sparse to dense fill, plus
+// filled discs and rings (U-shapes and holes merge runs late).
+TEST(LabelComponentsExactnessTest, MatchesFloodFillReference) {
+  synth::Rng rng(2024);
+  const int shapes[][2] = {{1, 1},  {1, 23}, {23, 1}, {7, 5},
+                           {31, 17}, {64, 48}, {97, 61}};
+  int masks = 0;
+  for (const auto& shape : shapes) {
+    for (const double fill : {0.05, 0.3, 0.5, 0.62, 0.9}) {
+      for (int rep = 0; rep < 6; ++rep) {
+        Bitmap mask(shape[0], shape[1]);
+        for (auto& px : mask.pixels()) {
+          px = rng.Chance(fill) ? kMaskSet : kMaskClear;
+        }
+        if (rep == 5 && shape[0] > 8 && shape[1] > 8) {
+          FillCircle(mask, shape[0] / 2, shape[1] / 2,
+                     std::min(shape[0], shape[1]) / 3);
+          FillCircle(mask, shape[0] / 2, shape[1] / 2,
+                     std::min(shape[0], shape[1]) / 6, kMaskClear);
+        }
+        for (const Connectivity c :
+             {Connectivity::kFour, Connectivity::kEight}) {
+          ExpectSameLabeling(LabelComponents(mask, c),
+                             FloodFillReference(mask, c));
+        }
+        ++masks;
+      }
+    }
+  }
+  EXPECT_EQ(masks, 210);
+  for (const Connectivity c : {Connectivity::kFour, Connectivity::kEight}) {
+    ExpectSameLabeling(LabelComponents(Bitmap(0, 0), c),
+                       FloodFillReference(Bitmap(0, 0), c));
+    ExpectSameLabeling(LabelComponents(Bitmap(9, 4, kMaskSet), c),
+                       FloodFillReference(Bitmap(9, 4, kMaskSet), c));
+  }
 }
 
 }  // namespace

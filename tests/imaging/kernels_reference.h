@@ -1,13 +1,17 @@
 // Plain-loop reference for the kernel catalog (src/imaging/kernels/): the
 // simplest possible loop per primitive, the oracle kernels_test.cpp holds
-// the product bodies to bit for bit. LerpRgb, SplitRgb, MergeRgb,
-// RgbToHsvSpan and HueHistogramAccum have no entry: their product bodies
-// already are the plain loop, and their callers' tests and the golden
-// suite cover them.
+// the product bodies to bit for bit. LerpRgb, SplitRgb, MergeRgb and
+// HueHistogramAccum have no entry: their product bodies already are the
+// plain loop, and their callers' tests and the golden suite cover them.
+//
+// HsvPixelsMatch is the Hsv-based predicate the exact match keys replaced
+// (kernels.h HsvKeysMatch); it survives here as the oracle the keys are
+// held to.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 
 #include "imaging/kernels/kernels.h"
@@ -288,10 +292,37 @@ inline std::size_t MaskedAccumulateRgb(std::span<const Rgb8> frame,
   return leaked;
 }
 
-inline WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
+inline bool HsvPixelsMatch(const Hsv& a, const Hsv& b,
+                           const HsvMatchParams& p) {
+  const bool a_gray = a.s < p.min_saturation;
+  const bool b_gray = b.s < p.min_saturation;
+  if (a_gray != b_gray) return false;
+  if (a_gray) return std::fabs(a.v - b.v) <= p.value_tolerance;
+  return HueDistance(a.h, b.h) <= p.hue_tolerance;
+}
+
+inline void RgbToHsvKeys(std::span<const Rgb8> px,
+                         std::span<const std::uint8_t> valid,
+                         float min_saturation, std::span<float> key,
+                         std::span<std::uint8_t> cls) {
+  assert(px.size() == key.size() && px.size() == cls.size());
+  for (std::size_t i = 0; i < px.size(); ++i) {
+    const Hsv hsv = RgbToHsv(px[i]);
+    if (hsv.s < min_saturation) {
+      key[i] = hsv.v;
+      cls[i] = kHsvGray;
+    } else {
+      key[i] = hsv.h;
+      cls[i] = kHsvColor;
+    }
+    if (!valid.empty() && !valid[i]) cls[i] = kHsvIneligible;
+  }
+}
+
+inline WindowScore MatchHsvBounded(HsvKeySpan tmpl,
                                    std::span<const std::int32_t> xs,
                                    std::span<const std::int32_t> ys,
-                                   std::span<const Hsv> grid, std::int32_t gw,
+                                   HsvKeySpan grid, std::int32_t gw,
                                    std::int32_t gh,
                                    std::span<const std::uint8_t> cov,
                                    std::int32_t dx, std::int32_t dy,
@@ -317,7 +348,12 @@ inline WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
           static_cast<std::size_t>(x);
       if (!cov.empty() && !cov[idx]) continue;
       ++ws.compared;
-      ws.matched += HsvPixelsMatch(tmpl[k], grid[idx], p);
+      const float tol = tmpl.cls[k] == kHsvGray ? p.value_tolerance
+                                                : p.hue_tolerance;
+      if (HsvKeysMatch(tmpl.key[k], tmpl.cls[k], grid.key[idx],
+                       grid.cls[idx], tol)) {
+        ++ws.matched;
+      }
     }
     if (end == n) break;
     // Optimistic completion: every remaining sample is compared and
@@ -338,6 +374,28 @@ inline WindowScore MatchHsvBounded(std::span<const Hsv> tmpl,
     }
   }
   return ws;
+}
+
+inline void MatchHsvLattice(HsvKeySpan samples,
+                            std::span<const float> tolerance,
+                            std::span<const std::int32_t> base,
+                            HsvKeySpan plane,
+                            std::span<const std::int32_t> offsets,
+                            std::span<std::int32_t> matched,
+                            std::span<std::int32_t> compared) {
+  for (std::size_t s = 0; s < offsets.size(); ++s) {
+    matched[s] = 0;
+    compared[s] = 0;
+    for (std::size_t k = 0; k < samples.size(); ++k) {
+      const std::size_t i = static_cast<std::size_t>(base[k] + offsets[s]);
+      if (plane.cls[i] == kHsvIneligible) continue;
+      ++compared[s];
+      if (HsvKeysMatch(samples.key[k], samples.cls[k], plane.key[i],
+                       plane.cls[i], tolerance[k])) {
+        ++matched[s];
+      }
+    }
+  }
 }
 
 }  // namespace bb::imaging::kernels::reference

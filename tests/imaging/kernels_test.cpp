@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "kernels_reference.h"
@@ -204,25 +207,34 @@ TEST(KernelIdentityTest, HistogramsAndAccumulators) {
   }
 }
 
-// Builds a random bounded-match scenario: a gw x gh HSV grid, sample
+// Builds a random bounded-match scenario: a gw x gh key grid, sample
 // coordinates (some deliberately out of bounds after the shift), and a
 // coverage plane.
 struct HsvCase {
-  std::vector<Hsv> tmpl;
+  std::vector<float> tkey, gkey;
+  std::vector<std::uint8_t> tcls, gcls;
   std::vector<std::int32_t> xs, ys;
-  std::vector<Hsv> grid;
   std::vector<std::uint8_t> cov;
   std::int32_t gw = 24, gh = 18;
 
+  HsvKeySpan tmpl() const { return {tkey, tcls}; }
+  HsvKeySpan grid() const { return {gkey, gcls}; }
+
   explicit HsvCase(synth::Rng& rng, std::size_t n) {
-    grid.resize(static_cast<std::size_t>(gw) * gh);
-    cov.resize(grid.size());
-    for (auto& g : grid) {
-      g = RgbToHsv({static_cast<std::uint8_t>(rng.UniformInt(0, 255)),
-                    static_cast<std::uint8_t>(rng.UniformInt(0, 255)),
-                    static_cast<std::uint8_t>(rng.UniformInt(0, 255))});
+    const float min_saturation = HsvMatchParams().min_saturation;
+    const auto random_key = [&] {
+      return HsvKeyOf({static_cast<std::uint8_t>(rng.UniformInt(0, 255)),
+                       static_cast<std::uint8_t>(rng.UniformInt(0, 255)),
+                       static_cast<std::uint8_t>(rng.UniformInt(0, 255))},
+                      min_saturation);
+    };
+    const auto cells = static_cast<std::size_t>(gw) * gh;
+    for (std::size_t i = 0; i < cells; ++i) {
+      const HsvKey k = random_key();
+      gkey.push_back(k.key);
+      gcls.push_back(k.cls);
+      cov.push_back(rng.Chance(0.7) ? kMaskSet : kMaskClear);
     }
-    for (auto& c : cov) c = rng.Chance(0.7) ? kMaskSet : kMaskClear;
     for (std::size_t i = 0; i < n; ++i) {
       const int x = rng.UniformInt(-4, gw + 3);
       const int y = rng.UniformInt(-4, gh + 3);
@@ -230,12 +242,13 @@ struct HsvCase {
       ys.push_back(y);
       // Bias half the samples toward matching the grid pixel underneath.
       if (rng.Chance(0.5) && x >= 0 && x < gw && y >= 0 && y < gh) {
-        tmpl.push_back(grid[static_cast<std::size_t>(y) * gw + x]);
+        const auto at = static_cast<std::size_t>(y) * gw + x;
+        tkey.push_back(gkey[at]);
+        tcls.push_back(gcls[at]);
       } else {
-        tmpl.push_back(
-            RgbToHsv({static_cast<std::uint8_t>(rng.UniformInt(0, 255)),
-                      static_cast<std::uint8_t>(rng.UniformInt(0, 255)),
-                      static_cast<std::uint8_t>(rng.UniformInt(0, 255))}));
+        const HsvKey k = random_key();
+        tkey.push_back(k.key);
+        tcls.push_back(k.cls);
       }
     }
   }
@@ -260,21 +273,21 @@ TEST(KernelIdentityTest, MatchHsvBoundedIncludingAbandonedPartials) {
     for (const auto& bd : bounds) {
       for (int dx : {-3, 0, 5}) {
         const WindowScore s = reference::MatchHsvBounded(
-            c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, dx, 2, params,
+            c.tmpl(), c.xs, c.ys, c.grid(), c.gw, c.gh, c.cov, dx, 2, params,
             bd.m, bd.cmp, bd.tie, bd.min_c);
         const WindowScore v = MatchHsvBounded(
-            c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, dx, 2, params,
+            c.tmpl(), c.xs, c.ys, c.grid(), c.gw, c.gh, c.cov, dx, 2, params,
             bd.m, bd.cmp, bd.tie, bd.min_c);
         EXPECT_EQ(s.matched, v.matched) << "n=" << n << " dx=" << dx;
         EXPECT_EQ(s.compared, v.compared) << "n=" << n << " dx=" << dx;
         EXPECT_EQ(s.abandoned, v.abandoned) << "n=" << n << " dx=" << dx;
         // Empty coverage means every in-bounds pixel is eligible.
         const WindowScore s2 = reference::MatchHsvBounded(
-            c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, {}, dx, 2, params, bd.m,
-            bd.cmp, bd.tie, bd.min_c);
+            c.tmpl(), c.xs, c.ys, c.grid(), c.gw, c.gh, {}, dx, 2, params,
+            bd.m, bd.cmp, bd.tie, bd.min_c);
         const WindowScore v2 = MatchHsvBounded(
-            c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, {}, dx, 2, params, bd.m,
-            bd.cmp, bd.tie, bd.min_c);
+            c.tmpl(), c.xs, c.ys, c.grid(), c.gw, c.gh, {}, dx, 2, params,
+            bd.m, bd.cmp, bd.tie, bd.min_c);
         EXPECT_EQ(s2.matched, v2.matched);
         EXPECT_EQ(s2.compared, v2.compared);
         EXPECT_EQ(s2.abandoned, v2.abandoned);
@@ -294,11 +307,11 @@ TEST(KernelIdentityTest, MatchHsvBoundedAbandonmentIsExact) {
     const std::int64_t bm = rng.UniformInt(10, 150);
     const std::int64_t bc = bm + rng.UniformInt(0, 30);
     const WindowScore bounded =
-        MatchHsvBounded(c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, 1, -2,
-                        params, bm, bc, false, 0);
+        MatchHsvBounded(c.tmpl(), c.xs, c.ys, c.grid(), c.gw, c.gh, c.cov, 1,
+                        -2, params, bm, bc, false, 0);
     const WindowScore full =
-        MatchHsvBounded(c.tmpl, c.xs, c.ys, c.grid, c.gw, c.gh, c.cov, 1, -2,
-                        params, 0, 0, false, 0);
+        MatchHsvBounded(c.tmpl(), c.xs, c.ys, c.grid(), c.gw, c.gh, c.cov, 1,
+                        -2, params, 0, 0, false, 0);
     if (bounded.abandoned) {
       ++abandoned_seen;
       EXPECT_FALSE(
@@ -310,6 +323,195 @@ TEST(KernelIdentityTest, MatchHsvBoundedAbandonmentIsExact) {
     }
   }
   EXPECT_GT(abandoned_seen, 0) << "bounds never triggered; test is vacuous";
+}
+
+TEST(KernelIdentityTest, RgbToHsvKeys) {
+  synth::Rng rng(9);
+  for (std::size_t n : kLengths) {
+    const auto px = RandomPixels(rng, n);
+    const auto valid = RandomMask(rng, n);
+    for (const float min_saturation : {0.0f, 0.15f, 0.5f}) {
+      for (const bool gated : {false, true}) {
+        const std::span<const std::uint8_t> v =
+            gated ? std::span<const std::uint8_t>(valid)
+                  : std::span<const std::uint8_t>();
+        std::vector<float> skey(n), vkey(n);
+        std::vector<std::uint8_t> scls(n), vcls(n);
+        reference::RgbToHsvKeys(px, v, min_saturation, skey, scls);
+        RgbToHsvKeys(px, v, min_saturation, vkey, vcls);
+        EXPECT_EQ(skey, vkey) << "n=" << n;
+        EXPECT_EQ(scls, vcls) << "n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelIdentityTest, MatchHsvLattice) {
+  // A padded plane with ineligible cells inside and around it, a random
+  // sample set indexed into its interior, and a lattice of offsets that
+  // reach into the padding.
+  synth::Rng rng(10);
+  const HsvMatchParams params;
+  constexpr int kPad = 5, kW = 23, kH = 17;
+  constexpr int kPw = kW + 2 * kPad, kPh = kH + 2 * kPad;
+  std::vector<float> pkey(static_cast<std::size_t>(kPw) * kPh, 0.0f);
+  std::vector<std::uint8_t> pcls(pkey.size(), kHsvIneligible);
+  for (int y = 0; y < kH; ++y) {
+    for (int x = 0; x < kW; ++x) {
+      const auto at = static_cast<std::size_t>(y + kPad) * kPw + x + kPad;
+      const HsvKey k = HsvKeyOf(RandomPixels(rng, 1)[0],
+                                params.min_saturation);
+      pkey[at] = k.key;
+      pcls[at] = rng.Chance(0.8) ? k.cls : kHsvIneligible;
+    }
+  }
+  std::vector<std::int32_t> offsets;
+  for (int dy = -kPad; dy <= kPad; dy += 2) {
+    for (int dx = -kPad; dx <= kPad; dx += 3) {
+      offsets.push_back(dy * kPw + dx);
+    }
+  }
+  for (std::size_t n : kLengths) {
+    std::vector<float> key, tol;
+    std::vector<std::uint8_t> cls;
+    std::vector<std::int32_t> base;
+    for (std::size_t k = 0; k < n; ++k) {
+      const int x = rng.UniformInt(0, kW - 1);
+      const int y = rng.UniformInt(0, kH - 1);
+      base.push_back((y + kPad) * kPw + x + kPad);
+      // Half the samples copy a plane cell near them, so matches happen.
+      const auto near = static_cast<std::size_t>(
+          base.back() + offsets[static_cast<std::size_t>(
+                            rng.UniformInt(0, static_cast<int>(
+                                                  offsets.size()) - 1))]);
+      HsvKey hk = HsvKeyOf(RandomPixels(rng, 1)[0], params.min_saturation);
+      if (rng.Chance(0.5) && pcls[near] != kHsvIneligible) {
+        hk = {pkey[near], pcls[near]};
+      }
+      key.push_back(hk.key);
+      cls.push_back(hk.cls);
+      tol.push_back(HsvTolerance(hk.cls, params));
+    }
+    std::vector<std::int32_t> sm(offsets.size()), sc(offsets.size());
+    std::vector<std::int32_t> vm(offsets.size()), vc(offsets.size());
+    reference::MatchHsvLattice({key, cls}, tol, base, {pkey, pcls}, offsets,
+                               sm, sc);
+    MatchHsvLattice({key, cls}, tol, base, {pkey, pcls}, offsets, vm, vc);
+    EXPECT_EQ(sm, vm) << "n=" << n;
+    EXPECT_EQ(sc, vc) << "n=" << n;
+    if (n >= 64) {
+      EXPECT_GT(*std::max_element(vm.begin(), vm.end()), 0) << "n=" << n;
+    }
+  }
+}
+
+// ---- Exact HSV match keys ---------------------------------------------------
+
+// RgbToHsv as it was written before the keys: the textbook fmod(..., 6)
+// on the red-maximum branch, which the product version leaves out.
+Hsv RgbToHsvWithFmod(Rgb8 c) {
+  const float r = c.r / 255.0f;
+  const float g = c.g / 255.0f;
+  const float b = c.b / 255.0f;
+  const float mx = std::max(std::max(r, g), b);
+  const float mn = std::min(std::min(r, g), b);
+  const float d = mx - mn;
+  Hsv out;
+  out.v = mx;
+  out.s = (mx <= 0.0f) ? 0.0f : d / mx;
+  if (d <= 0.0f) {
+    out.h = 0.0f;
+  } else if (mx == r) {
+    out.h = 60.0f * std::fmod((g - b) / d, 6.0f);
+  } else if (mx == g) {
+    out.h = 60.0f * ((b - r) / d + 2.0f);
+  } else {
+    out.h = 60.0f * ((r - g) / d + 4.0f);
+  }
+  if (out.h < 0.0f) out.h += 360.0f;
+  return out;
+}
+
+std::uint32_t Bits(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+TEST(HsvKeyExactnessTest, RgbToHsvMatchesTheFmodFormOnEveryColor) {
+  std::uint64_t mismatches = 0;
+  float max_hue = 0.0f;
+  bool negative_zero = false;
+  for (std::uint32_t rgb = 0; rgb < (1u << 24); ++rgb) {
+    const Rgb8 c{static_cast<std::uint8_t>(rgb >> 16),
+                 static_cast<std::uint8_t>(rgb >> 8),
+                 static_cast<std::uint8_t>(rgb)};
+    const Hsv want = RgbToHsvWithFmod(c);
+    const Hsv got = RgbToHsv(c);
+    mismatches += static_cast<std::uint64_t>(
+        Bits(want.h) != Bits(got.h) || Bits(want.s) != Bits(got.s) ||
+        Bits(want.v) != Bits(got.v));
+    max_hue = std::max(max_hue, got.h);
+    negative_zero |= std::signbit(got.h);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // The key predicate's fold needs every hue in [0, 360).
+  EXPECT_LT(max_hue, 360.0f);
+  EXPECT_FALSE(negative_zero);
+}
+
+// Colors that sit on the predicate's edges: near-gray pixels whose
+// saturation is close to 0.15, hues just either side of 0/360, gray
+// ramps whose value gaps straddle 0.22, and random fill.
+std::vector<Rgb8> EdgeColors() {
+  std::vector<Rgb8> out;
+  const auto u8 = [](int v) { return static_cast<std::uint8_t>(v); };
+  for (int mx = 1; mx < 256; ++mx) {
+    // s = (mx - mn) / mx close to 0.15 (and the default min_saturation).
+    const int center = mx - static_cast<int>(std::lround(0.15 * mx));
+    for (int mn = std::max(0, center - 1); mn <= std::min(mx, center + 1);
+         ++mn) {
+      out.push_back({u8(mx), u8(mn), u8(mn)});
+      out.push_back({u8(mn), u8(mx), u8((mx + mn) / 2)});
+    }
+  }
+  for (int k = 0; k < 256; k += 3) {
+    out.push_back({255, 0, u8(k)});  // hue just below 360
+    out.push_back({255, u8(k), 0});  // hue just above 0
+    out.push_back({u8(k), u8(k), u8(k)});  // gray ramp
+    out.push_back({u8(k), u8(std::min(255, k + 2)), u8(k)});
+  }
+  synth::Rng rng(11);
+  for (const Rgb8& p : RandomPixels(rng, 600)) out.push_back(p);
+  return out;
+}
+
+TEST(HsvKeyExactnessTest, KeyPredicateEqualsHsvPredicateOnEdgePairs) {
+  const std::vector<Rgb8> colors = EdgeColors();
+  std::vector<Hsv> hsv;
+  for (const Rgb8& c : colors) hsv.push_back(RgbToHsv(c));
+  std::uint64_t pairs = 0, matches = 0, mismatches = 0;
+  for (const HsvMatchParams params :
+       {HsvMatchParams{}, HsvMatchParams{0.15f, 18.0f, 0.22f},
+        HsvMatchParams{0.3f, 5.0f, 0.05f}, HsvMatchParams{0.0f, 180.0f, 1.0f}}) {
+    std::vector<HsvKey> keys;
+    for (const Rgb8& c : colors) keys.push_back(HsvKeyOf(c, params.min_saturation));
+    for (std::size_t a = 0; a < colors.size(); ++a) {
+      const float tol = HsvTolerance(keys[a].cls, params);
+      for (std::size_t b = 0; b < colors.size(); ++b) {
+        const bool want = reference::HsvPixelsMatch(hsv[a], hsv[b], params);
+        const bool got = HsvKeysMatch(keys[a].key, keys[a].cls, keys[b].key,
+                                      keys[b].cls, tol);
+        ++pairs;
+        matches += want;
+        mismatches += want != got;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << pairs << " pairs";
+  // Both outcomes are well represented.
+  EXPECT_GT(matches, pairs / 50);
+  EXPECT_LT(matches, pairs - pairs / 50);
 }
 
 TEST(FractionCompareTest, CrossMultiplicationMatchesDoubles) {

@@ -29,13 +29,16 @@
 #      pinned INVALID_JOB_RECORD reason, the daemon throughput gauges in
 #      the perf report (report_check --require-measured), and the service
 #      test label (spool/job-record units + supervised-daemon chaos)
-#   8. kernel smoke: the same CLI attack + location ranking in two
-#      variants, pruned and --no-prune - both reconstructions and rankings
-#      must be byte-identical - plus the pruning gauges in the perf report
-#      (report_check --require-measured) and the kernel/pruned-search tests
+#   8. kernel smoke: the same CLI attack + location ranking at --threads 1
+#      and --threads 4 - both reconstructions and rankings must be
+#      byte-identical - plus the template-match pruning gauges in the perf
+#      report (report_check --require-measured), the kernel and
+#      pruned-template-search tests, and the HSV-key and location
+#      exactness suites
 #   9. ThreadSanitizer build, the concurrent suites: the thread pool,
 #      trace emission, every thread-count-invariance pin (determinism,
-#      golden, streaming identity, location ranking, the shard matrix), the
+#      golden, streaming identity, location ranking and its exactness
+#      suite, the shard matrix), the
 #      suites that call Segment() from pool workers, and the disc
 #      morphology and segmenter suites those paths run
 #   10. UndefinedBehaviorSanitizer build, full ctest suite (minus
@@ -215,7 +218,7 @@ build-check/tools/report_check \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
 ctest --test-dir build-check --output-on-failure -j "$JOBS" -L service
 
-step "kernel smoke: pruning cannot move the bits"
+step "kernel smoke: the thread count cannot move the bits"
 KERNEL_DIR="build-check/kernel-smoke"
 mkdir -p "$KERNEL_DIR"
 build-check/apps/backbuster simulate --out "$KERNEL_DIR/call.bbv" \
@@ -225,36 +228,29 @@ build-check/apps/backbuster simulate --out "$KERNEL_DIR/decoy.bbv" \
   --truth-out "$KERNEL_DIR/decoy" > /dev/null
 TRUTH="$KERNEL_DIR/call.bbv.truth.ppm"
 LOCATE="$KERNEL_DIR/decoy.ppm,$TRUTH"
-# The same attack + location ranking in both search modes. Reconstruction
-# bytes and ranked scores must be identical in both runs; only trace
-# counters (diagnostics) may differ.
-for variant in pruned noprune; do
-  case "$variant" in
-    pruned)  PRUNE_FLAGS="" ;;
-    noprune) PRUNE_FLAGS="--no-prune" ;;
-  esac
+# The same attack + location ranking at one and at four threads.
+# Reconstruction bytes and ranked scores must be identical in both runs.
+for threads in 1 4; do
   build-check/apps/backbuster attack \
     --in "$KERNEL_DIR/call.bbv" --vb office --truth "$TRUTH" \
-    --locate "$LOCATE" --out "$KERNEL_DIR/$variant" $PRUNE_FLAGS \
-    | grep -E 'recovered|RBRR|score' > "$KERNEL_DIR/$variant.out"
+    --locate "$LOCATE" --out "$KERNEL_DIR/threads$threads" \
+    --threads "$threads" \
+    | grep -E 'recovered|RBRR|score' > "$KERNEL_DIR/threads$threads.out"
 done
-BASE="$(ls "$KERNEL_DIR"/pruned.p?? | head -n 1)"
-cmp "$BASE" "${BASE/pruned/noprune}"
-diff "$KERNEL_DIR/pruned.out" "$KERNEL_DIR/noprune.out"
+BASE="$(ls "$KERNEL_DIR"/threads1.p?? | head -n 1)"
+cmp "$BASE" "${BASE/threads1/threads4}"
+diff "$KERNEL_DIR/threads1.out" "$KERNEL_DIR/threads4.out"
 # The true background must outrank the decoy.
-head -n 3 "$KERNEL_DIR/pruned.out" | grep -q 'truth'
-# Pruning gauges live in the step-4 perf report (probes run unfiltered
-# there); the identity + speedup numbers must be present.
+head -n 3 "$KERNEL_DIR/threads1.out" | grep -q 'truth'
+# Template-match pruning gauges live in the step-4 perf report (probes run
+# unfiltered there); the identity + speedup numbers must be present.
 build-check/tools/report_check \
   --require-measured 'match_template.exhaustive [s]' \
   --require-measured 'match_template.pruned [s]' \
   --require-measured match_template.prune_speedup \
-  --require-measured 'location.exhaustive [s]' \
-  --require-measured 'location.pruned [s]' \
-  --require-measured location.prune_speedup \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
 ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-      -R 'Kernel|kernels|Pruned'
+      -R 'Kernel|kernels|Pruned|HsvKeyExactnessTest|LocationExactnessTest'
 
 step "ThreadSanitizer build + concurrent suites"
 cmake -B build-check-tsan -S . -DBB_SANITIZE=thread -DBB_WERROR=ON
@@ -263,7 +259,8 @@ cmake --build build-check-tsan -j "$JOBS"
 # both misses suites and catches unrelated ones.
 TSAN_SUITES='ParallelTest|TraceTest|DeterminismTest|TraceDeterminismTest'
 TSAN_SUITES+='|GoldenPipelineTest|StreamingIdentityTest|StreamingProtocolTest'
-TSAN_SUITES+='|SegmentOnceTest|RankLocationsTest|ShardTest|ShardChaosTest'
+TSAN_SUITES+='|SegmentOnceTest|RankLocationsTest|LocationExactnessTest'
+TSAN_SUITES+='|ShardTest|ShardChaosTest'
 TSAN_SUITES+='|MorphologyTest|Seeds/DistanceTransformPropertyTest'
 TSAN_SUITES+='|Shapes/DiscMorphologyExactnessTest|ClassicalSegmenterTest'
 TSAN_SUITES+='|NoisyOracleTest'
