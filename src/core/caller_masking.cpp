@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "imaging/color.h"
+#include "imaging/histogram.h"
 #include "imaging/kernels/kernels.h"
 #include "imaging/morphology.h"
 
@@ -41,24 +42,23 @@ void CallerMasker::EndPrepare() { stats_ready_ = true; }
 Bitmap CallerMasker::Refine(const imaging::Image& frame,
                             const imaging::Bitmap& raw) const {
   if (!stats_ready_) throw std::logic_error("CallerMasker: not prepared");
-  Bitmap vcm = raw;
-  if (colors_.total == 0 || opts_.rare_color_frequency <= 0.0) return vcm;
+  if (colors_.total == 0 || opts_.rare_color_frequency <= 0.0) return raw;
+  imaging::RequireSameShape(frame, raw, "CallerMasker::Refine");
 
-  // Only the uncertain boundary band is eligible for flipping.
+  // Only the uncertain boundary band is eligible for flipping: a pixel
+  // stays when it is in the core or its color is not rare, which is one
+  // integer comparison against the smallest count that is not rare.
   const Bitmap core = imaging::ErodeDisc(raw, opts_.protect_core_px);
-
   const double threshold =
       opts_.rare_color_frequency * static_cast<double>(colors_.total);
-  for (int y = 0; y < vcm.height(); ++y) {
-    for (int x = 0; x < vcm.width(); ++x) {
-      if (!vcm(x, y) || core(x, y)) continue;
-      const auto count = colors_.counts[static_cast<std::size_t>(
-          imaging::ColorBucket(frame(x, y)))];
-      if (static_cast<double>(count) < threshold) {
-        vcm(x, y) = imaging::kMaskClear;
-      }
-    }
-  }
+  const std::uint64_t common_min = imaging::ColorFrequency::MinCount(
+      colors_.total, [&](std::uint64_t count) {
+        return !(static_cast<double>(count) < threshold);
+      });
+  Bitmap vcm(raw.width(), raw.height());
+  imaging::kernels::ColorCountSelect(frame.pixels(), colors_.counts,
+                                     common_min, raw.pixels(), core.pixels(),
+                                     vcm.pixels());
   return vcm;
 }
 

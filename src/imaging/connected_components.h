@@ -2,7 +2,8 @@
 //
 // Used by the generic-object detectors to isolate candidate blobs in the
 // reconstructed background, by the matting model to drop tiny spurious
-// mask islands, and by the classical segmenter to pick its seed region.
+// mask islands, and by the classical segmenter to pick its seed region and
+// the grown regions attached to it.
 #pragma once
 
 #include <vector>
@@ -32,6 +33,11 @@ enum class Connectivity { kFour, kEight };
 Labeling LabelComponents(const Bitmap& mask,
                          Connectivity connectivity = Connectivity::kFour);
 
+// The mask filters below use 4-connectivity. They pick components from
+// the labeler's runs and paint only the runs they keep; the run tables
+// persist on the calling thread, so a warmed call into `out` allocates
+// nothing.
+
 // Removes components with fewer than `min_area` pixels.
 Bitmap RemoveSmallComponents(const Bitmap& mask, std::size_t min_area);
 
@@ -41,5 +47,11 @@ Bitmap RemoveSmallComponents(const Bitmap& mask, std::size_t min_area);
 // RemoveSmallComponents(mask, min_area) followed by LargestComponent: the
 // surviving components keep their raster order.
 Bitmap LargestComponent(const Bitmap& mask, std::size_t min_area = 0);
+void LargestComponent(const Bitmap& mask, std::size_t min_area, Bitmap* out);
+
+// The components of `mask` that share at least one pixel with the set
+// pixels of `seed` (same shape), into `out`.
+void ComponentsOverlapping(const Bitmap& mask, const Bitmap& seed,
+                           Bitmap* out);
 
 }  // namespace bb::imaging

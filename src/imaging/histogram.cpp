@@ -8,6 +8,11 @@
 
 namespace bb::imaging {
 
+void ColorFrequency::Clear() {
+  std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
+  total_ = 0;
+}
+
 void ColorFrequency::AddMasked(const Image& img, const Bitmap& mask) {
   RequireSameShape(img, mask, "ColorFrequency::AddMasked");
   total_ += kernels::ColorBucketHistogram(img.pixels(), mask.pixels(),

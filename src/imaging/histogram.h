@@ -6,6 +6,8 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "imaging/color.h"
@@ -26,15 +28,44 @@ class ColorFrequency {
   // Adds every pixel of `img` where `mask` is set.
   void AddMasked(const Image& img, const Bitmap& mask);
 
+  // Back to no pixels counted, keeping the storage.
+  void Clear();
+
   std::uint64_t Count(Rgb8 c) const {
     return counts_[static_cast<std::size_t>(ColorBucket(c))];
   }
   std::uint64_t total() const { return total_; }
+  // Every bucket's count, indexed by ColorBucket.
+  std::span<const std::uint64_t> counts() const { return counts_; }
 
   // Relative frequency of the color's bucket in [0, 1]; 0 when empty.
-  double Frequency(Rgb8 c) const {
+  double Frequency(Rgb8 c) const { return FrequencyOfCount(Count(c)); }
+  // The frequency of a bucket holding `count` pixels.
+  double FrequencyOfCount(std::uint64_t count) const {
     if (total_ == 0) return 0.0;
-    return static_cast<double>(Count(c)) / static_cast<double>(total_);
+    return static_cast<double>(count) / static_cast<double>(total_);
+  }
+
+  // Exact count thresholds (DESIGN.md section 15): the smallest count c in
+  // [0, total] for which `reached(c)` holds, or total + 1 when none does.
+  // `reached` must stay true once it turns true as c grows, as a test of a
+  // quantity that does not decrease with the count does (FrequencyOfCount
+  // divides by a fixed total). No bucket holds more than `total`, and for
+  // such counts `reached(count)` is exactly `count >= MinCount(total,
+  // reached)`: the per-pixel test becomes one integer comparison, with the
+  // threshold taken from the same expression at O(log total) counts.
+  template <typename Reached>
+  static std::uint64_t MinCount(std::uint64_t total, Reached reached) {
+    std::uint64_t lo = 0, hi = total + 1;  // the answer lies in [lo, hi]
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (reached(mid)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
   }
 
  private:

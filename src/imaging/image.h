@@ -116,6 +116,18 @@ class ImageT {
     for (auto& p : pixels_) p = value;
   }
 
+  // Gives the image the shape width x height, reusing its storage when it
+  // is large enough, so a scratch image reshaped every frame allocates only
+  // when it grows. Pixel values are unspecified until written.
+  void Reshape(int width, int height) {
+    if (width < 0 || height < 0) {
+      throw std::invalid_argument("ImageT: negative dimensions");
+    }
+    width_ = width;
+    height_ = height;
+    pixels_.resize(static_cast<std::size_t>(width) * height);
+  }
+
   std::span<P> pixels() { return pixels_; }
   std::span<const P> pixels() const { return pixels_; }
 

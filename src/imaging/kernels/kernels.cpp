@@ -8,6 +8,8 @@
 // order.
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <utility>
 
 #include "imaging/kernels/kernels.h"
 
@@ -174,6 +176,19 @@ void MatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
   }
 }
 
+void MismatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
+                  std::span<const std::uint8_t> valid, int tolerance,
+                  std::span<std::uint8_t> out) {
+  assert(frame.size() == ref.size() && frame.size() == valid.size() &&
+         frame.size() == out.size());
+  // Scalar (three-byte pixels): skip the comparison where `valid` is clear.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = valid[i] != 0 ? static_cast<std::uint8_t>(
+                                 NearMask(frame[i], ref[i], tolerance) ^ 1u)
+                           : kMaskClear;
+  }
+}
+
 std::size_t MatchCountStrided(std::span<const Rgb8> a, std::span<const Rgb8> b,
                               int tolerance, std::size_t stride) {
   assert(a.size() == b.size() && stride >= 1);
@@ -306,15 +321,37 @@ std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
                                    std::span<std::uint64_t> counts) {
   assert(px.size() == m.size());
   assert(counts.size() == static_cast<std::size_t>(kColorBucketCount));
-  // Histogram updates are a scatter, so the win here is only the branchless
-  // gate: count every pixel into either its bucket or a discard slot.
+  // Scalar (a scatter): branch past clear pixels instead of adding zero to
+  // a bucket for each of them.
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < px.size(); ++i) {
-    const unsigned keep = m[i] != 0;
-    counts[static_cast<std::size_t>(ColorBucket(px[i]))] += keep;
-    total += keep;
+    if (m[i] == 0) continue;
+    ++counts[static_cast<std::size_t>(ColorBucket(px[i]))];
+    ++total;
   }
   return total;
+}
+
+void ColorCountSelect(std::span<const Rgb8> px,
+                      std::span<const std::uint64_t> counts,
+                      std::uint64_t min_count,
+                      std::span<const std::uint8_t> region,
+                      std::span<const std::uint8_t> keep,
+                      std::span<std::uint8_t> out) {
+  assert(px.size() == region.size() && px.size() == keep.size() &&
+         px.size() == out.size());
+  assert(counts.size() == static_cast<std::size_t>(kColorBucketCount));
+  // Scalar (a gather): look a count up only for region pixels outside
+  // `keep`.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (region[i] == 0 || keep[i] != 0) {
+      out[i] = region[i] != 0 ? kMaskSet : kMaskClear;
+      continue;
+    }
+    out[i] = counts[static_cast<std::size_t>(ColorBucket(px[i]))] >= min_count
+                 ? kMaskSet
+                 : kMaskClear;
+  }
 }
 
 std::uint64_t HueHistogramAccum(std::span<const Rgb8> px,
@@ -476,6 +513,140 @@ void MatchHsvLattice(HsvKeySpan samples, std::span<const float> tolerance,
     }
     matched[s] = m;
     compared[s] = c;
+  }
+}
+
+// ---- Row-span disc ----------------------------------------------------------
+//
+// Each row sits in the scratch as a padded row: kSpanPad zero bytes, the
+// row as 0/1 bytes, zero bytes up to a whole number of kSpanChunk-byte
+// chunks, and kSpanPad zero bytes. Every loop over a padded row covers
+// whole chunks, and a shift by one column reads inside the row, so the
+// bodies are fixed 16-byte loops that GCC's -O2 vectorizer takes.
+
+namespace {
+
+constexpr std::size_t kSpanChunk = 16;
+constexpr std::size_t kSpanPad = kSpanChunk;  // keeps rows chunk-aligned
+
+// Bytes of a padded row between its two pads: the width in whole chunks.
+std::size_t SpanBody(std::size_t width) {
+  return (width + kSpanChunk - 1) / kSpanChunk * kSpanChunk;
+}
+
+std::size_t SpanStride(std::size_t width) {
+  return kSpanPad + SpanBody(width) + kSpanPad;
+}
+
+// body(k) for every k < n, in fixed chunks plus a scalar tail; the chunks
+// never overlap what they read with what they write (ivdep).
+template <typename Body>
+void ForEachByte(std::size_t n, Body body) {
+  std::size_t x = 0;
+  for (; x + kSpanChunk <= n; x += kSpanChunk) {
+#pragma GCC ivdep
+    for (std::size_t k = x; k < x + kSpanChunk; ++k) body(k);
+  }
+  for (; x < n; ++x) body(x);
+}
+
+// One pass over padded rows: out = cur dilated by `shift` (0 or 1) columns,
+// ORed with rows a and b, and cut off past the last column. Cutting each
+// one-column step off at the row's ends loses nothing inside the row: a
+// column within d of a source is within one of a column within d - 1 of
+// it that lies between the two, so inside the row.
+void SpanStep(std::span<const std::uint8_t> cur, std::size_t shift,
+              std::span<const std::uint8_t> a,
+              std::span<const std::uint8_t> b, std::size_t width,
+              std::span<std::uint8_t> out) {
+  const std::size_t body = SpanBody(width);
+  const auto left = cur.subspan(kSpanPad - shift, body);
+  const auto mid = cur.subspan(kSpanPad, body);
+  const auto right = cur.subspan(kSpanPad + shift, body);
+  const auto ra = a.subspan(kSpanPad, body);
+  const auto rb = b.subspan(kSpanPad, body);
+  const auto o = out.subspan(kSpanPad, body);
+  ForEachByte(body, [&](std::size_t k) {
+    o[k] = static_cast<std::uint8_t>(left[k] | mid[k] | right[k] | ra[k] |
+                                     rb[k]);
+  });
+  std::fill(o.begin() + static_cast<std::ptrdiff_t>(width), o.end(),
+            std::uint8_t{0});
+}
+
+}  // namespace
+
+std::size_t DiscSpanScratchSize(std::size_t width, std::size_t height) {
+  return (height + 3) * SpanStride(width);
+}
+
+void DiscSpan(std::span<const std::uint8_t> mask, std::size_t width,
+              std::span<const std::int32_t> reach, bool erode,
+              std::span<std::uint8_t> scratch, std::span<std::uint8_t> out) {
+  assert(out.size() == mask.size() && !reach.empty());
+  if (width == 0 || mask.empty()) return;
+  assert(mask.size() % width == 0);
+  const std::size_t h = mask.size() / width;
+  const std::size_t stride = SpanStride(width);
+  assert(scratch.size() >= DiscSpanScratchSize(width, h));
+  const unsigned flip = erode ? 1u : 0u;
+  // Rows 0 .. h - 1 of the scratch hold the sources, row h stays zero, and
+  // rows h + 1 and h + 2 take turns as the pass output.
+  const auto row = [&](std::size_t y) {
+    return scratch.subspan(y * stride, stride);
+  };
+  const std::span<const std::uint8_t> zero = row(h);
+
+  // The sources as 0/1 bytes: the whole plane is read before any output
+  // row is written, which is what lets `out` share memory with `mask`.
+  std::fill(scratch.begin(), scratch.end(), std::uint8_t{0});
+  for (std::size_t y = 0; y < h; ++y) {
+    const auto m = mask.subspan(y * width, width);
+    const auto s = row(y).subspan(kSpanPad, width);
+    ForEachByte(width, [&](std::size_t k) {
+      s[k] = static_cast<std::uint8_t>(static_cast<unsigned>(m[k] != 0) ^
+                                       flip);
+    });
+  }
+
+  // Output row y is the OR over g of the rows y - g and y + g dilated by
+  // reach[g]. Horizontal dilation distributes over OR and composes by
+  // adding widths, and reach does not increase, so one accumulator takes
+  // every row pair in Horner form: start from row y, and for g = 1 .. G
+  // dilate by reach[g - 1] - reach[g], then OR in the pair; a last dilation
+  // by reach[G] gives row pair g exactly reach[g] in total. The OR rides
+  // on the level's last one-column step.
+  const std::size_t rows = reach.size();
+  for (std::size_t y = 0; y < h; ++y) {
+    std::span<const std::uint8_t> cur = row(y);
+    std::size_t turn = 0;
+    const auto step = [&](std::size_t shift, std::span<const std::uint8_t> a,
+                          std::span<const std::uint8_t> b) {
+      const auto next = row(h + 1 + turn);
+      SpanStep(cur, shift, a, b, width, next);
+      cur = next;
+      turn ^= 1;
+    };
+    for (std::size_t g = 1; g < rows; ++g) {
+      assert(reach[g] >= 0 && reach[g] <= reach[g - 1]);
+      const auto above = g <= y ? row(y - g) : zero;
+      const auto below = y + g < h ? row(y + g) : zero;
+      const auto d = static_cast<std::size_t>(reach[g - 1] - reach[g]);
+      for (std::size_t i = 1; i < d; ++i) step(1, zero, zero);
+      step(d > 0 ? 1 : 0, above, below);
+    }
+    const auto last = static_cast<std::size_t>(reach[rows - 1]);
+    for (std::size_t i = 1; i < last; ++i) step(1, zero, zero);
+    // The last step writes the output row, complemented for erosion.
+    const std::size_t shift = last > 0 ? 1 : 0;
+    const auto left = cur.subspan(kSpanPad - shift, width);
+    const auto mid = cur.subspan(kSpanPad, width);
+    const auto right = cur.subspan(kSpanPad + shift, width);
+    const auto o = out.subspan(y * width, width);
+    ForEachByte(width, [&](std::size_t k) {
+      o[k] = static_cast<std::uint8_t>(
+          static_cast<unsigned>(left[k] | mid[k] | right[k]) ^ flip);
+    });
   }
 }
 

@@ -2,7 +2,9 @@
 //
 // Every per-pixel hot loop in the tree lives here, exactly once. The
 // bodies are written for the autovectorizer: branchless selects,
-// fixed-size chunking, no data-dependent early exits inside a chunk.
+// fixed-size chunking, no data-dependent early exits inside a chunk. A
+// loop that cannot vectorize anyway (three-byte pixels, a bucket gather
+// or scatter) branches on its mask instead, since masks come in long runs.
 // Results are exact: every primitive is either pure integer arithmetic or
 // applies fixed per-element float operations (no float accumulation is
 // ever reassociated; the only float sums, in MaskedAccumulateRgb, add
@@ -137,6 +139,11 @@ void SubSaturate(std::span<const Rgb8> a, std::span<const Rgb8> b,
 void MatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
                std::span<const std::uint8_t> valid, int tolerance,
                std::span<std::uint8_t> out);
+// The complement within `valid`: out = valid && !NearlyEqual (the
+// segmenter's candidate caller pixels). All four spans are required.
+void MismatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
+                  std::span<const std::uint8_t> valid, int tolerance,
+                  std::span<std::uint8_t> out);
 // Count of NearlyEqual pixels visiting every stride-th element.
 std::size_t MatchCountStrided(std::span<const Rgb8> a,
                               std::span<const Rgb8> b, int tolerance,
@@ -176,6 +183,17 @@ void RgbToHsvKeys(std::span<const Rgb8> px,
 std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
                                    std::span<const std::uint8_t> m,
                                    std::span<std::uint64_t> counts);
+// Color-count selection: out = region && (keep || counts[ColorBucket(px)]
+// >= min_count). `counts` must have kColorBucketCount entries. With
+// min_count taken from ColorFrequency::MinCount this is the segmenter's
+// palette growth and the rare-color refinements, one integer comparison
+// per pixel.
+void ColorCountSelect(std::span<const Rgb8> px,
+                      std::span<const std::uint64_t> counts,
+                      std::uint64_t min_count,
+                      std::span<const std::uint8_t> region,
+                      std::span<const std::uint8_t> keep,
+                      std::span<std::uint8_t> out);
 // Hue histogram accumulation over masked, sufficiently colorful pixels;
 // returns the number of binned pixels.
 std::uint64_t HueHistogramAccum(std::span<const Rgb8> px,
@@ -225,6 +243,20 @@ void MatchHsvLattice(HsvKeySpan samples, std::span<const float> tolerance,
                      std::span<const std::int32_t> offsets,
                      std::span<std::int32_t> matched,
                      std::span<std::int32_t> compared);
+
+// Row-span disc (DESIGN.md section 15) over a row-major mask plane of
+// `width` columns. A source pixel reaches every pixel g = |dy| rows away
+// (g < reach.size()) and at most reach[g] columns away; out is set where
+// some source reaches. The sources are the non-zero bytes of `mask`, or
+// with `erode` its zero bytes, and out is then the complement (clear where
+// reached). Nothing outside the plane is a source. `reach` must be
+// non-negative and must not increase with g; the cost per row grows with
+// reach.size() + reach[0]. `scratch` needs DiscSpanScratchSize(width,
+// height) bytes; `out` may be the same memory as `mask`.
+std::size_t DiscSpanScratchSize(std::size_t width, std::size_t height);
+void DiscSpan(std::span<const std::uint8_t> mask, std::size_t width,
+              std::span<const std::int32_t> reach, bool erode,
+              std::span<std::uint8_t> scratch, std::span<std::uint8_t> out);
 
 // Exact comparison of two match fractions m1/c1 vs m2/c2 (c >= 0) without
 // division: the search layers use this for incumbent updates so pruned and

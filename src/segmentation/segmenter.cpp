@@ -8,6 +8,7 @@
 #include "imaging/connected_components.h"
 #include "imaging/filter.h"
 #include "imaging/histogram.h"
+#include "imaging/kernels/kernels.h"
 #include "imaging/morphology.h"
 #include "synth/rng.h"
 #include "vbg/noise_field.h"
@@ -111,95 +112,106 @@ void ClassicalSegmenter::EndAnalysisPass(int pass) {
         layer_acc_->Finalize(std::max(3, frame_count_ / 4)).color;
     layer_acc_.reset();
   } else {
+    // Segment() only ever asks whether a pixel's score reaches the
+    // threshold, so the answer is taken once, as a mask.
+    dynamic_ = Bitmap(dynamic_score_.width(), dynamic_score_.height());
+    imaging::kernels::ThresholdGE(
+        dynamic_score_.pixels(),
+        static_cast<float>(params_.dynamic_fraction * frame_count_),
+        dynamic_.pixels());
+    dynamic_score_ = FloatImage();
     prepared_ = true;
   }
 }
+
+namespace {
+
+// Segment()'s intermediate masks and color counts. They persist on each
+// thread across frames, so a warmed call allocates only the mask it
+// returns; Segment() runs concurrently on pool workers, each with its own.
+// Each mask buffer takes the next intermediate once the one it held is no
+// longer read, so three cover the whole step.
+struct SegmentScratch {
+  Bitmap a, b, c;
+  imaging::ColorFrequency colors;
+};
+
+SegmentScratch& ThreadScratch() {
+  thread_local SegmentScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 Bitmap ClassicalSegmenter::Segment(const Image& frame, int frame_index) {
   (void)frame_index;
   if (!prepared_) {
     throw std::logic_error("ClassicalSegmenter: analysis passes not run");
   }
+  imaging::RequireSameShape(frame, static_layer_,
+                            "ClassicalSegmenter::Segment");
   const int w = frame.width(), h = frame.height();
-  const float dyn_threshold =
-      static_cast<float>(params_.dynamic_fraction * frame_count_);
+  SegmentScratch& s = ThreadScratch();
+  imaging::ColorFrequency& colors = s.colors;
 
   // Candidate caller pixels: deviate from the static layer NOW and belong to
   // a generally dynamic region.
-  Bitmap candidate(w, h);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const bool deviates_now = !imaging::NearlyEqual(
-          frame(x, y), static_layer_(x, y), params_.channel_tolerance);
-      if (deviates_now && dynamic_score_(x, y) >= dyn_threshold) {
-        candidate(x, y) = imaging::kMaskSet;
-      }
-    }
-  }
-  candidate = imaging::CloseDisc(candidate, 2.0);
+  Bitmap& candidate = s.a;
+  candidate.Reshape(w, h);
+  imaging::kernels::MismatchMask(frame.pixels(), static_layer_.pixels(),
+                                 dynamic_.pixels(), params_.channel_tolerance,
+                                 candidate.pixels());
+  imaging::CloseDisc(candidate, 2.0, &candidate);
   // The largest island, unless even it is too small to trust.
-  Bitmap seed = imaging::LargestComponent(candidate, params_.min_island_area);
+  Bitmap& seed = s.b;
+  imaging::LargestComponent(candidate, params_.min_island_area, &seed);
   if (imaging::CountSet(seed) < 16) return seed;
 
   // The motion cue only finds the MOVING parts of the caller; a torso that
   // never moves is absorbed into the static layer. Grow the seed over
   // pixels sharing the seed's palette (apparel/skin colors), the way a
   // semantic segmenter would keep the whole person.
-  imaging::ColorFrequency palette;
-  const Bitmap seed_core = imaging::ErodeDisc(seed, 1.5);
-  palette.AddMasked(frame,
-                    imaging::CountSet(seed_core) > 32 ? seed_core : seed);
+  Bitmap& seed_core = s.a;
+  imaging::ErodeDisc(seed, 1.5, &seed_core);
+  colors.Clear();
+  colors.AddMasked(frame,
+                   imaging::CountSet(seed_core) > 32 ? seed_core : seed);
+  const std::uint64_t palette_min = imaging::ColorFrequency::MinCount(
+      colors.total(),
+      [&](std::uint64_t n) { return colors.FrequencyOfCount(n) >= 0.03; });
   // Growth is limited to the seed's neighbourhood: a person is one
   // connected region, so palette-colored pixels across the frame (e.g. a
-  // virtual background sharing the shirt's hue) must not be absorbed.
-  const Bitmap reach = imaging::DilateDisc(seed, h / 3.0);
-  Bitmap grown = seed;
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (grown(x, y) || !reach(x, y)) continue;
-      if (palette.Frequency(frame(x, y)) >= 0.03) {
-        grown(x, y) = imaging::kMaskSet;
-      }
-    }
-  }
-  grown = imaging::CloseDisc(grown, 2.0);
+  // virtual background sharing the shirt's hue) must not be absorbed. The
+  // reach holds the seed, so the grown mask does too.
+  Bitmap& reach = s.a;
+  imaging::DilateDisc(seed, h / 3.0, &reach);
+  Bitmap& grown = s.c;
+  grown.Reshape(w, h);
+  imaging::kernels::ColorCountSelect(frame.pixels(), colors.counts(),
+                                     palette_min, reach.pixels(),
+                                     seed.pixels(), grown.pixels());
+  imaging::CloseDisc(grown, 2.0, &grown);
   // Keep only the grown regions attached to the moving seed.
-  const auto labeling = imaging::LabelComponents(grown);
-  std::vector<bool> keep(labeling.components.size() + 1, false);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      if (seed(x, y) && labeling.labels(x, y) > 0) {
-        keep[static_cast<std::size_t>(labeling.labels(x, y))] = true;
-      }
-    }
-  }
-  Bitmap body(w, h);
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const int label = labeling.labels(x, y);
-      if (label > 0 && keep[static_cast<std::size_t>(label)]) {
-        body(x, y) = imaging::kMaskSet;
-      }
-    }
-  }
+  Bitmap& body = s.a;
+  imaging::ComponentsOverlapping(grown, seed, &body);
 
   // Color-model refinement: drop boundary pixels whose color is rare in the
   // confident core (leaked background trapped at the rim).
-  const Bitmap core = imaging::ErodeDisc(body, params_.core_erode_px);
-  if (imaging::CountSet(core) > 32) {
-    imaging::ColorFrequency freq;
-    freq.AddMasked(frame, core);
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        if (!body(x, y) || core(x, y)) continue;
-        if (freq.Frequency(frame(x, y)) < params_.rare_color_frequency) {
-          body(x, y) = imaging::kMaskClear;
-        }
-      }
-    }
-    body = imaging::CloseDisc(body, 1.0);
-  }
-  return body;
+  Bitmap& core = s.b;
+  imaging::ErodeDisc(body, params_.core_erode_px, &core);
+  if (imaging::CountSet(core) <= 32) return body;
+  colors.Clear();
+  colors.AddMasked(frame, core);
+  const double rare = params_.rare_color_frequency;
+  const std::uint64_t common_min = imaging::ColorFrequency::MinCount(
+      colors.total(),
+      [&](std::uint64_t n) { return !(colors.FrequencyOfCount(n) < rare); });
+  Bitmap& refined = s.c;
+  imaging::kernels::ColorCountSelect(frame.pixels(), colors.counts(),
+                                     common_min, body.pixels(),
+                                     core.pixels(), refined.pixels());
+  imaging::CloseDisc(refined, 1.0, &refined);
+  return refined;
 }
 
 }  // namespace bb::segmentation

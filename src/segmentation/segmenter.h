@@ -116,7 +116,10 @@ class ClassicalSegmenter final : public PersonSegmenter {
   int frame_count_ = 0;
   std::optional<video::StaticLayerAccumulator> layer_acc_;
   imaging::Image static_layer_;
+  // Per-pixel count of deviating frames (pass 1), then the pixels whose
+  // count reaches dynamic_fraction of the call.
   imaging::FloatImage dynamic_score_;
+  imaging::Bitmap dynamic_;
 };
 
 }  // namespace bb::segmentation

@@ -7,6 +7,7 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 }  // namespace
 
@@ -16,18 +17,24 @@ std::uint64_t Allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+std::uint64_t AllocatedBytes() {
+  return g_bytes.load(std::memory_order_relaxed);
+}
+
 }  // namespace bb::counting_allocator
 
 // Counts every allocation path and delegates to malloc, so behavior is
 // otherwise unchanged.
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                    size ? size : 1)) {
     return p;

@@ -11,5 +11,7 @@ namespace bb::counting_allocator {
 
 // Global operator new calls (every form) since process start.
 std::uint64_t Allocations();
+// Bytes those calls asked for.
+std::uint64_t AllocatedBytes();
 
 }  // namespace bb::counting_allocator

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <string>
 #include <vector>
 
 #include "imaging/draw.h"
@@ -188,6 +188,80 @@ TEST(LabelComponentsExactnessTest, MatchesFloodFillReference) {
                        FloodFillReference(Bitmap(0, 0), c));
     ExpectSameLabeling(LabelComponents(Bitmap(9, 4, kMaskSet), c),
                        FloodFillReference(Bitmap(9, 4, kMaskSet), c));
+  }
+}
+
+// The label plane of a flood-fill labeling, filtered pixel by pixel: the
+// pickers that paint runs must give the same masks.
+Bitmap KeepLabels(const Labeling& labeling, const std::vector<bool>& keep) {
+  Bitmap out(labeling.labels.width(), labeling.labels.height());
+  for (int y = 0; y < out.height(); ++y) {
+    for (int x = 0; x < out.width(); ++x) {
+      const int label = labeling.labels(x, y);
+      if (label > 0 && keep[static_cast<std::size_t>(label)]) {
+        out(x, y) = kMaskSet;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ComponentPickExactnessTest, RunPickersMatchTheLabelPlane) {
+  synth::Rng rng(77);
+  const int shapes[][2] = {{0, 0}, {1, 1}, {1, 23}, {23, 1}, {31, 17},
+                           {97, 61}};
+  for (const auto& shape : shapes) {
+    for (const double fill : {0.05, 0.5, 0.62, 0.9}) {
+      Bitmap mask(shape[0], shape[1]), seed(shape[0], shape[1]);
+      for (auto& px : mask.pixels()) {
+        px = rng.Chance(fill) ? kMaskSet : kMaskClear;
+      }
+      for (auto& px : seed.pixels()) {
+        px = rng.Chance(0.02) ? 0xFF : kMaskClear;
+      }
+      const Labeling labeling = FloodFillReference(mask, Connectivity::kFour);
+      const std::size_t slots = labeling.components.size() + 1;
+      const std::string what = std::to_string(shape[0]) + "x" +
+                               std::to_string(shape[1]) +
+                               " fill=" + std::to_string(fill);
+
+      std::vector<bool> overlapping(slots, false);
+      for (int y = 0; y < mask.height(); ++y) {
+        for (int x = 0; x < mask.width(); ++x) {
+          if (seed(x, y) && labeling.labels(x, y) > 0) {
+            overlapping[static_cast<std::size_t>(labeling.labels(x, y))] =
+                true;
+          }
+        }
+      }
+      Bitmap out(2, 2, kMaskSet);
+      ComponentsOverlapping(mask, seed, &out);
+      EXPECT_EQ(out, KeepLabels(labeling, overlapping)) << what;
+
+      for (const std::size_t min_area : {std::size_t{0}, std::size_t{5},
+                                         std::size_t{60}}) {
+        std::vector<bool> largest(slots, false), big(slots, false);
+        std::size_t best_area = 0;
+        int best = 0;
+        for (const Component& c : labeling.components) {
+          big[static_cast<std::size_t>(c.label)] = c.area >= min_area;
+          if (c.area > best_area) {
+            best_area = c.area;
+            best = c.label;
+          }
+        }
+        if (best > 0 && best_area >= min_area) {
+          largest[static_cast<std::size_t>(best)] = true;
+        }
+        LargestComponent(mask, min_area, &out);
+        EXPECT_EQ(out, KeepLabels(labeling, largest))
+            << what << " min_area=" << min_area;
+        EXPECT_EQ(LargestComponent(mask, min_area), out);
+        EXPECT_EQ(RemoveSmallComponents(mask, min_area),
+                  KeepLabels(labeling, big))
+            << what << " min_area=" << min_area;
+      }
+    }
   }
 }
 

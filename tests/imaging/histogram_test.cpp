@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 namespace bb::imaging {
@@ -31,6 +33,53 @@ TEST(ColorFrequencyTest, AddMaskedHonorsMask) {
   EXPECT_EQ(freq.total(), 1u);
   EXPECT_EQ(freq.Count({0, 100, 0}), 1u);
   EXPECT_EQ(freq.Count({100, 0, 0}), 0u);
+}
+
+TEST(ColorFrequencyTest, ClearForgetsEveryCount) {
+  ColorFrequency freq;
+  freq.Add({10, 20, 30});
+  freq.Clear();
+  EXPECT_EQ(freq.total(), 0u);
+  EXPECT_EQ(freq.Count({10, 20, 30}), 0u);
+  freq.Add({200, 10, 10});
+  EXPECT_EQ(freq.total(), 1u);
+  EXPECT_DOUBLE_EQ(freq.Frequency({200, 10, 10}), 1.0);
+}
+
+// MinCount turns a monotone per-count test into one integer comparison:
+// for every count up to the total, reached(count) == (count >= MinCount).
+// Checked on every count of several totals, for the segmenter's and the
+// caller masker's tests at thresholds on, between and beyond the
+// representable fractions, NaN included.
+TEST(ColorFrequencyTest, MinCountMatchesTheDoubleTestAtEveryCount) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::uint64_t total : {0u, 1u, 3u, 7u, 250u, 1000u, 12345u}) {
+    ColorFrequency freq;
+    for (std::uint64_t i = 0; i < total; ++i) freq.Add({0, 0, 0});
+    for (const double f : {-1.0, 0.0, 0.0025, 0.004, 0.03, 1.0 / 3.0, 0.5,
+                           1.0, 1.1, nan}) {
+      const auto reaches = [&](std::uint64_t n) {
+        return freq.FrequencyOfCount(n) >= f;
+      };
+      const auto not_rare = [&](std::uint64_t n) {
+        return !(freq.FrequencyOfCount(n) < f);
+      };
+      const double threshold = f * static_cast<double>(total);
+      const auto not_below = [&](std::uint64_t n) {
+        return !(static_cast<double>(n) < threshold);
+      };
+      const std::uint64_t min_reach = ColorFrequency::MinCount(total, reaches);
+      const std::uint64_t min_common =
+          ColorFrequency::MinCount(total, not_rare);
+      const std::uint64_t min_not_below =
+          ColorFrequency::MinCount(total, not_below);
+      for (std::uint64_t n = 0; n <= total; ++n) {
+        EXPECT_EQ(reaches(n), n >= min_reach) << total << " " << f << " " << n;
+        EXPECT_EQ(not_rare(n), n >= min_common) << total << " " << f;
+        EXPECT_EQ(not_below(n), n >= min_not_below) << total << " " << f;
+      }
+    }
+  }
 }
 
 TEST(HueHistogramTest, PureHuesLandInExpectedBins) {

@@ -128,6 +128,22 @@ TEST(ImageTest, SameShape) {
   EXPECT_FALSE(a.SameShape(c));
 }
 
+TEST(ImageTest, ReshapeKeepsStorageThatIsLargeEnough) {
+  Bitmap m(8, 6, kMaskSet);
+  const std::uint8_t* storage = m.pixels().data();
+  m.Reshape(4, 3);
+  EXPECT_EQ(m.width(), 4);
+  EXPECT_EQ(m.height(), 3);
+  EXPECT_EQ(m.pixel_count(), 12u);
+  EXPECT_EQ(m.row(2).size(), 4u);
+  m.Reshape(6, 8);
+  EXPECT_EQ(m.pixel_count(), 48u);
+  EXPECT_EQ(m.pixels().data(), storage);
+  m.Reshape(0, 0);
+  EXPECT_TRUE(m.empty());
+  EXPECT_THROW(m.Reshape(-1, 2), std::invalid_argument);
+}
+
 TEST(BitmapOpsTest, CountSetAndFraction) {
   Bitmap m(4, 4);
   EXPECT_EQ(CountSet(m), 0u);

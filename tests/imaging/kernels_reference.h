@@ -151,6 +151,18 @@ inline void MatchMask(std::span<const Rgb8> frame, std::span<const Rgb8> ref,
   }
 }
 
+inline void MismatchMask(std::span<const Rgb8> frame,
+                         std::span<const Rgb8> ref,
+                         std::span<const std::uint8_t> valid, int tolerance,
+                         std::span<std::uint8_t> out) {
+  assert(frame.size() == ref.size() && frame.size() == out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = (valid[i] && !NearlyEqual(frame[i], ref[i], tolerance))
+                 ? kMaskSet
+                 : kMaskClear;
+  }
+}
+
 inline std::size_t MatchCountStrided(std::span<const Rgb8> a,
                                      std::span<const Rgb8> b, int tolerance,
                                      std::size_t stride) {
@@ -246,6 +258,21 @@ inline std::uint64_t ColorBucketHistogram(std::span<const Rgb8> px,
     ++total;
   }
   return total;
+}
+
+inline void ColorCountSelect(std::span<const Rgb8> px,
+                             std::span<const std::uint64_t> counts,
+                             std::uint64_t min_count,
+                             std::span<const std::uint8_t> region,
+                             std::span<const std::uint8_t> keep,
+                             std::span<std::uint8_t> out) {
+  assert(px.size() == region.size() && px.size() == out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t count =
+        counts[static_cast<std::size_t>(ColorBucket(px[i]))];
+    out[i] = (region[i] && (keep[i] || count >= min_count)) ? kMaskSet
+                                                            : kMaskClear;
+  }
 }
 
 inline std::uint64_t MaskedSumRgb(std::span<const Rgb8> px,
@@ -394,6 +421,39 @@ inline void MatchHsvLattice(HsvKeySpan samples,
                        plane.cls[i], tolerance[k])) {
         ++matched[s];
       }
+    }
+  }
+}
+
+// The disc as a union of row segments, decided pixel by pixel: (x, y) is
+// reached when a source lies within reach[|dy|] columns on the row dy away.
+// No scratch.
+inline void DiscSpan(std::span<const std::uint8_t> mask, std::size_t width,
+                     std::span<const std::int32_t> reach, bool erode,
+                     std::span<std::uint8_t> out) {
+  assert(out.size() == mask.size());
+  if (width == 0) return;
+  const auto w = static_cast<std::int64_t>(width);
+  const auto h = static_cast<std::int64_t>(mask.size() / width);
+  const auto rows = static_cast<std::int64_t>(reach.size());
+  for (std::int64_t y = 0; y < h; ++y) {
+    for (std::int64_t x = 0; x < w; ++x) {
+      bool reached = false;
+      for (std::int64_t dy = 1 - rows; dy < rows && !reached; ++dy) {
+        const std::int64_t sy = y + dy;
+        if (sy < 0 || sy >= h) continue;
+        const std::int64_t r = reach[static_cast<std::size_t>(std::abs(dy))];
+        for (std::int64_t sx = std::max<std::int64_t>(0, x - r);
+             sx <= std::min(w - 1, x + r); ++sx) {
+          const std::int64_t source = sy * w + sx;
+          if ((mask[static_cast<std::size_t>(source)] != 0) != erode) {
+            reached = true;
+          }
+        }
+      }
+      const std::int64_t at = y * w + x;
+      out[static_cast<std::size_t>(at)] =
+          reached != erode ? kMaskSet : kMaskClear;
     }
   }
 }

@@ -147,6 +147,110 @@ TEST(KernelIdentityTest, ToleranceMatching) {
   }
 }
 
+// Mask bytes as callers may hand them over: any non-zero byte is set.
+std::vector<std::uint8_t> RandomMaskBytes(synth::Rng& rng, std::size_t n,
+                                          double fill) {
+  constexpr std::uint8_t kSet[] = {1, 0x80, 0xFF};
+  std::vector<std::uint8_t> m(n, kMaskClear);
+  for (auto& v : m) {
+    if (rng.Chance(fill)) v = kSet[rng.UniformInt(0, 2)];
+  }
+  return m;
+}
+
+TEST(KernelIdentityTest, MismatchMaskAndColorCountSelect) {
+  synth::Rng rng(13);
+  for (std::size_t n : kLengths) {
+    const auto a = RandomPixels(rng, n);
+    auto b = a;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.Chance(0.5)) {
+        b[i].g = static_cast<std::uint8_t>(
+            std::clamp(b[i].g + rng.UniformInt(-20, 20), 0, 255));
+      }
+    }
+    const auto valid = RandomMaskBytes(rng, n, 0.6);
+    for (int tol : {0, 14, 255}) {
+      std::vector<std::uint8_t> s(n), v(n);
+      reference::MismatchMask(a, b, valid, tol, s);
+      MismatchMask(a, b, valid, tol, v);
+      EXPECT_EQ(s, v) << "MismatchMask n=" << n << " tol=" << tol;
+    }
+
+    // Counts of a histogram over part of the pixels, so some buckets are
+    // empty, some rare and some common; thresholds on both sides of them.
+    std::vector<std::uint64_t> counts(kColorBucketCount, 0);
+    for (std::size_t i = 0; i < n; i += 2) {
+      ++counts[static_cast<std::size_t>(ColorBucket(a[i]))];
+    }
+    const auto region = RandomMaskBytes(rng, n, 0.7);
+    const auto keep = RandomMaskBytes(rng, n, 0.3);
+    for (std::uint64_t min_count : {0, 1, 2, 1000}) {
+      std::vector<std::uint8_t> s(n), v(n);
+      reference::ColorCountSelect(a, counts, min_count, region, keep, s);
+      ColorCountSelect(a, counts, min_count, region, keep, v);
+      EXPECT_EQ(s, v) << "ColorCountSelect n=" << n << " min=" << min_count;
+    }
+  }
+}
+
+// The reach table of a disc of radius r2 = float(radius^2), clipped to the
+// plane as the morphology layer builds it.
+std::vector<std::int32_t> DiscReachTable(double radius, int w, int h) {
+  const float r2 = static_cast<float>(radius * radius);
+  std::vector<std::int32_t> reach;
+  for (std::int64_t g = 0, dx = w - 1; g < h; ++g) {
+    while (dx >= 0 && static_cast<float>(dx * dx + g * g) > r2) --dx;
+    if (dx < 0) break;
+    reach.push_back(static_cast<std::int32_t>(dx));
+  }
+  return reach;
+}
+
+// Every width straddles the 16-byte chunks, masks hold 0x80 and 0xFF bytes,
+// and the tables include discs clipped by the plane, flat and tall
+// rectangles, and more rows than the plane has. The scratch starts full of
+// garbage, and the in-place call must agree too.
+TEST(KernelIdentityTest, DiscSpan) {
+  synth::Rng rng(14);
+  const int shapes[][2] = {{1, 1},   {1, 9},   {9, 1},  {7, 5},  {15, 4},
+                           {16, 3},  {17, 6},  {31, 9}, {64, 5}, {65, 7},
+                           {197, 31}};
+  for (const auto& shape : shapes) {
+    const int w = shape[0], h = shape[1];
+    const auto n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+    std::vector<std::vector<std::int32_t>> tables = {
+        {0}, {1}, {3}, {0, 0, 0}, {2, 2}, {4, 1}, {20, 20, 20, 20}};
+    for (const double r : {1.0, 1.5, 2.0, 3.0, 4.2, 8.5, 12.0}) {
+      tables.push_back(DiscReachTable(r, w, h));
+    }
+    for (const double fill : {0.03, 0.5, 0.95}) {
+      const auto mask = RandomMaskBytes(rng, n, fill);
+      for (const auto& reach : tables) {
+        for (const bool erode : {false, true}) {
+          std::vector<std::uint8_t> want(n, 0xAB), got(n, 0xCD);
+          std::vector<std::uint8_t> scratch(
+              DiscSpanScratchSize(static_cast<std::size_t>(w),
+                                  static_cast<std::size_t>(h)),
+              0xEE);
+          reference::DiscSpan(mask, static_cast<std::size_t>(w), reach, erode,
+                              want);
+          DiscSpan(mask, static_cast<std::size_t>(w), reach, erode, scratch,
+                   got);
+          EXPECT_EQ(want, got) << w << "x" << h << " fill=" << fill
+                               << " rows=" << reach.size()
+                               << " reach0=" << reach[0]
+                               << " erode=" << erode;
+          std::vector<std::uint8_t> in_place = mask;
+          DiscSpan(in_place, static_cast<std::size_t>(w), reach, erode,
+                   scratch, in_place);
+          EXPECT_EQ(want, in_place) << w << "x" << h << " in place";
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelIdentityTest, DiffAndThreshold) {
   synth::Rng rng(4);
   for (std::size_t n : kLengths) {

@@ -203,9 +203,14 @@ std::vector<std::pair<std::string, Bitmap>> ExactnessMasks(int w, int h) {
     s ^= s << 17;
     return s;
   };
-  Bitmap sparse(w, h), dense(w, h), blob(w, h);
+  Bitmap sparse(w, h), dense(w, h), blob(w, h), high_bytes(w, h);
   for (auto& v : sparse.pixels()) v = (next() % 40) == 0;
   for (auto& v : dense.pixels()) v = (next() % 4) != 0;
+  // Any non-zero byte counts as set, not only kMaskSet.
+  for (auto& v : high_bytes.pixels()) {
+    const std::uint64_t r = next() % 6;
+    v = r == 0 ? 0x80 : (r == 1 ? 0xFF : 0);
+  }
   // A filled body with a hole, a thin limb and a detached speck.
   FillCircle(blob, w / 2, h / 2, std::min(w, h) / 3);
   FillCircle(blob, w / 2, h / 2, std::min(w, h) / 10, kMaskClear);
@@ -213,6 +218,7 @@ std::vector<std::pair<std::string, Bitmap>> ExactnessMasks(int w, int h) {
   if (w > 0 && h > 0) blob(w - 1, 0) = kMaskSet;
   return {{"random-sparse", sparse},
           {"random-dense", dense},
+          {"high-bytes", high_bytes},
           {"blob", blob},
           {"all-set", Bitmap(w, h, kMaskSet)},
           {"all-clear", Bitmap(w, h, kMaskClear)}};
@@ -221,31 +227,54 @@ std::vector<std::pair<std::string, Bitmap>> ExactnessMasks(int w, int h) {
 TEST_P(DiscMorphologyExactnessTest, MatchesEdtThreshold) {
   const Shape shape = GetParam();
   const double beyond_diagonal = std::hypot(shape.width, shape.height) + 1.0;
+  // The two sides of the row-span/sweep choice: the widest disc whose
+  // extent stays within kDiscSpanMaxExtent (r2 just below (max + 1)^2) and
+  // the smallest one beyond it, where the image does not clip them.
+  const float first_sweep_r2 = static_cast<float>(
+      (kDiscSpanMaxExtent + 1) * (kDiscSpanMaxExtent + 1));
+  const double last_span = std::sqrt(
+      static_cast<double>(std::nextafter(first_sweep_r2, 0.0f)));
+  const double first_sweep = kDiscSpanMaxExtent + 1.0;
   const std::vector<double> radii = {
       0.3, 0.5, 1.0, std::sqrt(2.0), 1.5, 2.0, 2.5, 3.0, 4.0, 4.2, 7.5,
-      20.0, 48.0, beyond_diagonal, std::numeric_limits<double>::quiet_NaN(),
+      last_span, first_sweep, 20.0, 48.0, beyond_diagonal,
+      std::numeric_limits<double>::quiet_NaN(),
       std::numeric_limits<double>::infinity()};
   for (const auto& [name, mask] : ExactnessMasks(shape.width, shape.height)) {
     for (const double r : radii) {
       const std::string what = name + " r=" + std::to_string(r);
       const Bitmap dilated = ReferenceDilate(mask, r);
       const Bitmap eroded = ReferenceErode(mask, r);
+      const Bitmap closed = ReferenceErode(dilated, r);
       EXPECT_EQ(DilateDisc(mask, r), dilated) << "dilate " << what;
       EXPECT_EQ(ErodeDisc(mask, r), eroded) << "erode " << what;
-      EXPECT_EQ(CloseDisc(mask, r), ReferenceErode(dilated, r))
-          << "close " << what;
+      EXPECT_EQ(CloseDisc(mask, r), closed) << "close " << what;
       EXPECT_EQ(OpenDisc(mask, r), ReferenceDilate(eroded, r))
           << "open " << what;
       EXPECT_EQ(BoundaryRing(mask, r), AndNot(dilated, mask))
           << "ring " << what;
+      // The forms that write into a caller's bitmap, in place too.
+      Bitmap out(3, 2, kMaskSet), in_place = mask;
+      DilateDisc(mask, r, &out);
+      EXPECT_EQ(out, dilated) << "dilate into " << what;
+      DilateDisc(in_place, r, &in_place);
+      EXPECT_EQ(in_place, dilated) << "dilate in place " << what;
+      in_place = mask;
+      ErodeDisc(in_place, r, &in_place);
+      EXPECT_EQ(in_place, eroded) << "erode in place " << what;
+      in_place = mask;
+      CloseDisc(in_place, r, &in_place);
+      EXPECT_EQ(in_place, closed) << "close in place " << what;
     }
   }
 }
 
+// 197 x 31 is wider than 64 columns and no multiple of 8 or 16, so the
+// row-span path ends every row in a partial chunk.
 INSTANTIATE_TEST_SUITE_P(Shapes, DiscMorphologyExactnessTest,
-                         ::testing::Values(Shape{192, 144}, Shape{13, 9},
-                                           Shape{1, 17}, Shape{17, 1},
-                                           Shape{0, 0}));
+                         ::testing::Values(Shape{192, 144}, Shape{197, 31},
+                                           Shape{13, 9}, Shape{1, 17},
+                                           Shape{17, 1}, Shape{0, 0}));
 
 }  // namespace
 }  // namespace bb::imaging

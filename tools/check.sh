@@ -33,14 +33,15 @@
 #      and --threads 4 - both reconstructions and rankings must be
 #      byte-identical - plus the template-match pruning gauges in the perf
 #      report (report_check --require-measured), the kernel and
-#      pruned-template-search tests, and the HSV-key and location
-#      exactness suites
+#      pruned-template-search tests, and the HSV-key, location, disc
+#      morphology and segmenter exactness suites
 #   9. ThreadSanitizer build, the concurrent suites: the thread pool,
 #      trace emission, every thread-count-invariance pin (determinism,
 #      golden, streaming identity, location ranking and its exactness
 #      suite, the shard matrix), the
 #      suites that call Segment() from pool workers, and the disc
-#      morphology and segmenter suites those paths run
+#      morphology, component-pick and segmenter suites those paths run
+#      (their scratch is per thread)
 #   10. UndefinedBehaviorSanitizer build, full ctest suite (minus
 #      bench-smoke: the benches are already covered by step 2 and would
 #      dominate the sanitized runtime)
@@ -249,8 +250,10 @@ build-check/tools/report_check \
   --require-measured 'match_template.pruned [s]' \
   --require-measured match_template.prune_speedup \
   "$CONTAINER_REPORT_DIR/BENCH_perf.json"
+KERNEL_SUITES='Kernel|kernels|Pruned|HsvKeyExactnessTest|LocationExactnessTest'
+KERNEL_SUITES+='|DiscMorphologyExactnessTest|ClassicalSegmenterExactnessTest'
 ctest --test-dir build-check --output-on-failure -j "$JOBS" \
-      -R 'Kernel|kernels|Pruned|HsvKeyExactnessTest|LocationExactnessTest'
+      -R "$KERNEL_SUITES"
 
 step "ThreadSanitizer build + concurrent suites"
 cmake -B build-check-tsan -S . -DBB_SANITIZE=thread -DBB_WERROR=ON
@@ -263,7 +266,8 @@ TSAN_SUITES+='|SegmentOnceTest|RankLocationsTest|LocationExactnessTest'
 TSAN_SUITES+='|ShardTest|ShardChaosTest'
 TSAN_SUITES+='|MorphologyTest|Seeds/DistanceTransformPropertyTest'
 TSAN_SUITES+='|Shapes/DiscMorphologyExactnessTest|ClassicalSegmenterTest'
-TSAN_SUITES+='|NoisyOracleTest'
+TSAN_SUITES+='|NoisyOracleTest|ClassicalSegmenterExactnessTest'
+TSAN_SUITES+='|SegmentAllocationTest|ComponentPickExactnessTest'
 ctest --test-dir build-check-tsan --output-on-failure -j "$JOBS" \
       -R "^(shard\.)?($TSAN_SUITES)\."
 
