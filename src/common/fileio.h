@@ -1,5 +1,5 @@
 // Crash-consistent file writes shared by every sealed on-disk format
-// (BBCK checkpoints, BBPR partials, BBJB job records).
+// (BBPR partials and checkpoints, BBJB job records).
 //
 // AtomicWriteFile writes `bytes` to "<path>.tmp" and renames it into place,
 // so a crash at any instant leaves either the previous file or the new one
@@ -25,7 +25,7 @@
 namespace bb::common {
 
 // Writes `bytes` to `path` via write-temp-then-rename. `what` names the
-// payload kind in error messages ("checkpoint", "partial", "job").
+// payload kind in error messages ("partial", "job").
 Status AtomicWriteFile(const std::string& bytes, const std::string& path,
                        std::string_view what);
 

@@ -14,9 +14,11 @@ namespace bb::core {
 namespace {
 
 constexpr char kMagic[4] = {'B', 'B', 'P', 'R'};
-constexpr std::uint32_t kVersion = 1;
+// Magic of the checkpoint format BBPR v2 replaced.
+constexpr char kRetiredCheckpointMagic[4] = {'B', 'B', 'C', 'K'};
+constexpr std::uint32_t kVersion = 2;
 // Fixed-size header through the quarantine count (see partial.h layout).
-constexpr std::size_t kHeaderBytes = 68;
+constexpr std::size_t kHeaderBytes = 72;
 
 Status Corrupt(const std::string& what) {
   return Status(StatusCode::kDataLoss, what);
@@ -50,6 +52,12 @@ void LeakAccumulators::Add(const LeakAccumulators& other) {
     sum_g2[k] += other.sum_g2[k];
     sum_b2[k] += other.sum_b2[k];
   }
+}
+
+bool SameStream(const video::StreamInfo& a, const video::StreamInfo& b) {
+  return a.width == b.width && a.height == b.height &&
+         a.frame_count == b.frame_count &&
+         std::lround(a.fps * 1000.0) == std::lround(b.fps * 1000.0);
 }
 
 std::uint64_t ConfigHash(const ReconstructionOptions& opts,
@@ -91,6 +99,7 @@ Status SavePartial(const PartialResult& partial, const std::string& path) {
   wire::PutU32(&out, static_cast<std::uint32_t>(partial.min_leak_count));
   wire::PutF64(&out, partial.max_color_spread);
   wire::PutU64(&out, partial.bad_frame_events);
+  wire::PutU32(&out, static_cast<std::uint32_t>(partial.frames_done));
   wire::PutU32(&out, static_cast<std::uint32_t>(partial.quarantined.size()));
   for (int q : partial.quarantined) {
     wire::PutU32(&out, static_cast<std::uint32_t>(q));
@@ -121,6 +130,14 @@ Result<PartialResult> LoadPartial(const std::string& path) {
   const auto reject = [&path](const Status& status) {
     return status.WithContext("partial " + path);
   };
+  if (bytes.size() >= 4 &&
+      std::memcmp(bytes.data(), kRetiredCheckpointMagic, 4) == 0) {
+    // Not corruption: an older build's checkpoint, refused like a version
+    // mismatch so a resume starts fresh.
+    return reject(Status(StatusCode::kFailedPrecondition,
+                         "checkpoint in the retired BBCK format of an older "
+                         "build at bytes 0-3 (want BBPR)"));
+  }
   if (bytes.size() < 4 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
     return reject(Corrupt("bad magic at bytes 0-3 (want BBPR)"));
   }
@@ -154,7 +171,7 @@ Result<PartialResult> LoadPartial(const std::string& path) {
                 min_leak = 0;
   double color_spread = 0.0;
   std::uint64_t bad_events = 0;
-  std::uint32_t quarantine_count = 0;
+  std::uint32_t frames_done = 0, quarantine_count = 0;
   (void)r.TakeU32(&w);
   (void)r.TakeU32(&h);
   (void)r.TakeU32(&frames);
@@ -166,6 +183,7 @@ Result<PartialResult> LoadPartial(const std::string& path) {
   (void)r.TakeU32(&min_leak);
   (void)r.TakeF64(&color_spread);
   (void)r.TakeU64(&bad_events);
+  (void)r.TakeU32(&frames_done);
   (void)r.TakeU32(&quarantine_count);
   if (w == 0 || h == 0 || w > 16384 || h > 16384 || frames > 1000000) {
     return reject(Corrupt("implausible stream identity" + At(8, 16)));
@@ -186,8 +204,15 @@ Result<PartialResult> LoadPartial(const std::string& path) {
   if (!std::isfinite(color_spread)) {
     return reject(Corrupt("non-finite max_color_spread" + At(48, 8)));
   }
+  if (frames_done < range_begin || frames_done > range_end) {
+    return reject(Corrupt("implausible frames_done " +
+                          std::to_string(frames_done) +
+                          " outside the frame range [" +
+                          std::to_string(range_begin) + ", " +
+                          std::to_string(range_end) + "]" + At(64, 4)));
+  }
   if (quarantine_count > frames) {
-    return reject(Corrupt("implausible quarantine count" + At(64, 4)));
+    return reject(Corrupt("implausible quarantine count" + At(68, 4)));
   }
 
   PartialResult partial;
@@ -198,6 +223,7 @@ Result<PartialResult> LoadPartial(const std::string& path) {
   partial.config_hash = config_hash;
   partial.range_begin = static_cast<int>(range_begin);
   partial.range_end = static_cast<int>(range_end);
+  partial.frames_done = static_cast<int>(frames_done);
   partial.bad_budget = budget;
   partial.min_leak_count = static_cast<int>(min_leak);
   partial.max_color_spread = color_spread;

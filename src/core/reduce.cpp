@@ -1,7 +1,6 @@
 #include "core/reduce.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -16,12 +15,6 @@ namespace {
 
 std::string RangeStr(int begin, int end) {
   return "[" + std::to_string(begin) + ", " + std::to_string(end) + ")";
-}
-
-bool SameIdentity(const video::StreamInfo& a, const video::StreamInfo& b) {
-  return a.width == b.width && a.height == b.height &&
-         a.frame_count == b.frame_count &&
-         std::lround(a.fps * 1000.0) == std::lround(b.fps * 1000.0);
 }
 
 }  // namespace
@@ -99,7 +92,16 @@ Result<ReconstructionResult> ReducePartials(
   const PartialResult& first = partials[order.front()];
   for (std::size_t i : order) {
     const PartialResult& p = partials[i];
-    if (!SameIdentity(p.info, first.info)) {
+    if (p.frames_done < p.range_end) {
+      // A checkpoint's sums stop short of its range; merging it would
+      // silently drop the frames it never reached.
+      return Status(StatusCode::kFailedPrecondition,
+                    "partial " + RangeStr(p.range_begin, p.range_end) +
+                        " is an unfinished checkpoint: decomposed only up "
+                        "to frame " +
+                        std::to_string(p.frames_done));
+    }
+    if (!SameStream(p.info, first.info)) {
       return Status(StatusCode::kFailedPrecondition,
                     "partials disagree on the stream identity "
                     "(dimensions, frame count, or fps): partial " +

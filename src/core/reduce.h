@@ -4,6 +4,9 @@
 // exact ReconstructionResult a single uninterrupted run over the whole
 // stream would produce. Before touching any accumulator it validates the
 // merge:
+//   * every partial must be finished - a checkpoint (frames_done below its
+//     range end) is kFailedPrecondition naming its range and the frame it
+//     reached;
 //   * every partial must carry the same stream identity, config hash, and
 //     finalize parameters (error budget, min_leak_count, max_color_spread)
 //     - a mismatch is kFailedPrecondition naming the offending partial;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "core/checkpoint.h"
 #include "core/reduce.h"
 #include "imaging/kernels/kernels.h"
 
@@ -136,7 +135,7 @@ void StreamingReconstructor::Begin(const video::StreamInfo& info) {
 void StreamingReconstructor::TryResumeFromCheckpoint() {
   checkpoint_status_ = OkStatus();
   if (opts_.checkpoint_path.empty()) return;
-  Result<CheckpointState> loaded = LoadCheckpoint(opts_.checkpoint_path);
+  Result<PartialResult> loaded = LoadPartial(opts_.checkpoint_path);
   if (!loaded.ok()) {
     // No file yet is the normal first-run case; anything else is a hostile
     // or stale checkpoint - keep the reason and start fresh.
@@ -145,12 +144,8 @@ void StreamingReconstructor::TryResumeFromCheckpoint() {
     }
     return;
   }
-  CheckpointState st = std::move(*loaded);
-  const bool identity_ok =
-      st.info.width == info_.width && st.info.height == info_.height &&
-      st.info.frame_count == info_.frame_count &&
-      std::lround(st.info.fps * 1000.0) == std::lround(info_.fps * 1000.0);
-  if (!identity_ok) {
+  PartialResult st = std::move(*loaded);
+  if (!SameStream(st.info, info_)) {
     checkpoint_status_ =
         Status(StatusCode::kFailedPrecondition,
                "checkpoint was written for a different stream "
@@ -158,14 +153,14 @@ void StreamingReconstructor::TryResumeFromCheckpoint() {
             .WithContext("checkpoint " + opts_.checkpoint_path);
     return;
   }
-  if (st.shard_begin != shard_begin_ || st.shard_end != shard_end_) {
+  if (st.range_begin != shard_begin_ || st.range_end != shard_end_) {
     // Another shard's progress must never splice into this worker's
     // accumulators - the merge would silently double- or under-count.
     checkpoint_status_ =
         Status(StatusCode::kFailedPrecondition,
                "checkpoint was written for a different shard range [" +
-                   std::to_string(st.shard_begin) + ", " +
-                   std::to_string(st.shard_end) +
+                   std::to_string(st.range_begin) + ", " +
+                   std::to_string(st.range_end) +
                    ") (this run decomposes [" +
                    std::to_string(shard_begin_) + ", " +
                    std::to_string(shard_end_) + "))")
@@ -192,7 +187,9 @@ void StreamingReconstructor::TryResumeFromCheckpoint() {
   stats_.frames_quarantined = quarantined_count_;
   resume_frames_ = st.frames_done;
   resume_base_ = std::move(st.acc);
-  result_.per_frame_leak_fraction = std::move(st.per_frame_leak_fraction);
+  std::copy(st.per_frame_leak_fraction.begin(),
+            st.per_frame_leak_fraction.end(),
+            result_.per_frame_leak_fraction.begin() + shard_begin_);
   stats_.resumed = true;
   stats_.resume_frames_done = resume_frames_;
   if (trace::Enabled()) {
@@ -418,7 +415,7 @@ void StreamingReconstructor::DecomposeWindow() {
   if (!opts_.checkpoint_path.empty()) {
     // Every range frame up to the newest one just decomposed is now covered
     // by the combined accumulators (quarantined frames by the saved list).
-    SaveCheckpointNow(window_ids_.back() + 1);
+    SealCheckpoint(window_ids_.back() + 1);
   }
 }
 
@@ -433,22 +430,28 @@ LeakAccumulators StreamingReconstructor::ReduceShards() {
   return total;
 }
 
-void StreamingReconstructor::SaveCheckpointNow(int frames_done) {
-  CheckpointState st;
-  st.info = info_;
-  st.frames_done = frames_done;
-  st.shard_begin = shard_begin_;
-  st.shard_end = shard_end_;
-  st.config_hash = ConfigHash(opts_.recon, opts_.config_salt);
-  for (int i = 0; i < info_.frame_count; ++i) {
-    if (quarantine_[static_cast<std::size_t>(i)] != 0) {
-      st.quarantined.push_back(i);
-    }
-  }
-  st.acc = ReduceShards();
-  st.per_frame_leak_fraction = result_.per_frame_leak_fraction;
+PartialResult StreamingReconstructor::Snapshot(int frames_done) {
+  PartialResult partial;
+  partial.info = info_;
+  partial.config_hash = ConfigHash(opts_.recon, opts_.config_salt);
+  partial.range_begin = shard_begin_;
+  partial.range_end = shard_end_;
+  partial.frames_done = frames_done;
+  partial.bad_budget = bad_budget_;
+  partial.min_leak_count = opts_.recon.min_leak_count;
+  partial.max_color_spread = opts_.recon.max_color_spread;
+  partial.bad_frame_events = stats_.bad_frame_events;
+  partial.quarantined = QuarantinedFrames();
+  partial.acc = ReduceShards();
+  partial.per_frame_leak_fraction.assign(
+      result_.per_frame_leak_fraction.begin() + shard_begin_,
+      result_.per_frame_leak_fraction.begin() + shard_end_);
+  return partial;
+}
 
-  const Status saved = SaveCheckpoint(st, opts_.checkpoint_path);
+void StreamingReconstructor::SealCheckpoint(int frames_done) {
+  const PartialResult checkpoint = Snapshot(frames_done);
+  const Status saved = SavePartial(checkpoint, opts_.checkpoint_path);
   if (saved.ok()) {
     ++stats_.checkpoint_writes;
     if (trace::Enabled()) trace::AddCounter("recover.checkpoint_writes", 1);
@@ -589,20 +592,7 @@ PartialResult StreamingReconstructor::FinalizePartial() {
   current_pass_ = TotalPasses();  // guard against reuse without Begin()
 
   const trace::ScopedTimer finalize_timer("reconstruct.finalize");
-  PartialResult partial;
-  partial.info = info_;
-  partial.config_hash = ConfigHash(opts_.recon, opts_.config_salt);
-  partial.range_begin = shard_begin_;
-  partial.range_end = shard_end_;
-  partial.bad_budget = bad_budget_;
-  partial.min_leak_count = opts_.recon.min_leak_count;
-  partial.max_color_spread = opts_.recon.max_color_spread;
-  partial.bad_frame_events = stats_.bad_frame_events;
-  partial.quarantined = QuarantinedFrames();
-  partial.acc = ReduceShards();
-  partial.per_frame_leak_fraction.assign(
-      result_.per_frame_leak_fraction.begin() + shard_begin_,
-      result_.per_frame_leak_fraction.begin() + shard_end_);
+  PartialResult partial = Snapshot(shard_end_);
   FinishRun();
   if (trace::Enabled()) {
     trace::AddCounter("shard.partials_emitted", 1);

@@ -51,14 +51,14 @@
 //   * An error budget (max_bad_frames / max_bad_fraction) bounds how much
 //     degradation is acceptable; one quarantine past the budget fails the
 //     run with a structured kAborted status.
-//   * With checkpoint_path set, per-pass progress is serialized after every
-//     window flush (write-temp-then-rename; see core/checkpoint.h) and
-//     Begin() resumes from a valid checkpoint, fast-forwarding the
-//     decomposition pass with bit-identical final output. A hostile or
-//     stale checkpoint is discarded with a structured reason
-//     (checkpoint_status()) and the run starts fresh. Shard workers
-//     checkpoint within their own slice; a checkpoint written for a
-//     different shard range, or with a different ConfigHash(recon,
+//   * With checkpoint_path set, decomposition progress is sealed after
+//     every window flush as a BBPR partial short of its range end
+//     (core/partial.h; write-temp-then-rename) and Begin() resumes from a
+//     valid one, fast-forwarding the decomposition pass with bit-identical
+//     final output. A hostile or stale checkpoint is discarded with a
+//     structured reason (checkpoint_status()) and the run starts fresh.
+//     Shard workers checkpoint within their own slice; a checkpoint written
+//     for a different shard range, or with a different ConfigHash(recon,
 //     config_salt), is refused like a different stream.
 //   * With no faults, budgets, or checkpoint configured, all of this is a
 //     few integer compares per frame - outputs are byte-identical to the
@@ -250,7 +250,10 @@ class StreamingReconstructor {
   void DecomposeWindowFrame(int window_index, int frame_index,
                             std::span<const std::uint8_t> raw_runs,
                             LeakShard& shard);
-  void SaveCheckpointNow(int frames_done);
+  // This run's sealed state with frames below `frames_done` decomposed:
+  // each flush's checkpoint, and FinalizePartial()'s result at shard_end_.
+  PartialResult Snapshot(int frames_done);
+  void SealCheckpoint(int frames_done);
   // Cooperative-stop exit path: on the decomposition pass with a checkpoint
   // configured, flushes (and thereby checkpoints) the resident window so
   // the interruption wastes no decomposed work, then reports kAborted with

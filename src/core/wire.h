@@ -1,9 +1,9 @@
-// Little-endian wire helpers shared by the sealed on-disk state formats
-// (BBCK checkpoints in checkpoint.h, BBPR partials in partial.h): byte
-// emission into a growing string, a bounds-checked cursor reader whose
-// Take* methods return false past the end (so every truncation lands in
-// one structured-error path), and the FNV-1a-64 seal both formats append
-// over every preceding byte.
+// Little-endian wire helpers shared by the sealed on-disk formats (BBPR
+// partials and checkpoints in partial.h, BBJB job records in
+// service/job.h): byte emission into a growing string, a bounds-checked
+// cursor reader whose Take* methods return false past the end (so every
+// truncation lands in one structured-error path), and the FNV-1a-64 seal
+// both formats append over every preceding byte.
 #pragma once
 
 #include <bit>

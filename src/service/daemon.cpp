@@ -370,7 +370,8 @@ Result<Daemon::JobOutcome> Daemon::RunJob(JobRecord* job) {
 
     // Shards whose sealed partial already exists (an earlier attempt or a
     // pre-crash daemon finished them) are skipped outright; the rest
-    // resume from their own checkpoints.
+    // resume from their own checkpoints. A failed reduce removes the
+    // partials, so a file skipped here has not been refused yet.
     std::vector<int> pending;
     std::vector<std::string> partials;
     for (int shard = 0; shard < job->spec.shards; ++shard) {
@@ -554,13 +555,19 @@ Result<Daemon::JobOutcome> Daemon::RunJob(JobRecord* job) {
         attempt.exit_code = code;
         attempt.reason = "reduce exited " + std::to_string(code) + " (see " +
                          workdir + "/reduce.log)";
-        job->attempts.push_back(attempt);
         if (code == kExitUsage) {
+          job->attempts.push_back(attempt);
           return finish(JobState::kFailed,
                         "INVALID_ARGUMENT: reduce rejected the partials: " +
                             attempt.reason,
                         JobOutcome::kFailed);
         }
+        // A partial the reducer refuses (torn, corrupt, or sealed by an
+        // older build) would be refused again: drop them all so the retry
+        // recomputes every shard instead of re-merging the same files.
+        for (const std::string& p : partials) fs::remove(p, ec);
+        attempt.reason += "; removed the job's partials for recomputation";
+        job->attempts.push_back(attempt);
         if (const Status saved = SaveJob(
                 *job, JobPath(opts_.spool_root, kRunningDir, job->id));
             !saved.ok()) {

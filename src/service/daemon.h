@@ -12,7 +12,9 @@
 //            its own checkpoint and partial under work/<id>/; completed
 //            partials are skipped on retry, so attempts resume instead of
 //            restarting. A final `backbuster reduce` merges the partials
-//            into output bit-identical to a single-process attack.
+//            into output bit-identical to a single-process attack; when it
+//            fails (other than a usage error) the partials are removed so
+//            the retry recomputes them.
 //   watch    when spec.deadline_ms > 0, an attempt that outlives it has
 //            its workers SIGKILLed and the attempt recorded as exit -9.
 //   retry    failed attempts are retried on the deterministic schedule of

@@ -40,7 +40,7 @@
 //
 // Loads treat the file as hostile input: the checksum is verified before
 // any field is trusted, then every field is plausibility-checked with the
-// offending byte range named - the same discipline as BBCK/BBPR. The
+// offending byte range named - the same discipline as BBPR. The
 // "spool" fault-injection point fires on loads (occurrence-keyed) so the
 // daemon's handling of unreadable records is chaos-testable.
 #pragma once

@@ -9,8 +9,8 @@
 //   <root>/done/       merged output sealed; terminal
 //   <root>/failed/     refused or retry-exhausted; terminal, with a
 //                      structured final_reason in the record
-//   <root>/work/<id>/  per-job scratch: shard checkpoints (.bbck),
-//                      partials (.bbpr), worker logs
+//   <root>/work/<id>/  per-job scratch: shard checkpoints (.bbck) and
+//                      partials (.bbpr), both BBPR files, worker logs
 //
 // Every record is a sealed BBJB file named <id>.bbjb. A state transition
 // is "write the record into the destination directory (atomically, via

@@ -26,7 +26,7 @@ void PutU64(std::string* out, std::uint64_t v) {
 
 // Cursor-based reader over in-memory footer bytes; Take* return false past
 // the end so every truncation lands in one structured-error path (the same
-// shape as the BBCK checkpoint reader).
+// shape as the BBPR partial reader).
 struct Reader {
   const std::string& bytes;
   std::size_t pos = 0;
@@ -295,7 +295,7 @@ Result<Bbv2Layout> ReadBbv2Layout(std::istream& in, std::uint64_t file_size,
         std::to_string(trailer_begin + 7) + ")"));
   }
 
-  // Checksum first (the BBCK discipline): any bit flip in the footer is
+  // Checksum first (the BBPR discipline): any bit flip in the footer is
   // caught before a single field is trusted.
   const std::uint64_t footer_size = trailer_begin - footer_begin;
   in.seekg(static_cast<std::streamoff>(footer_begin), std::ios::beg);

@@ -25,7 +25,7 @@
 //
 // The trailer is fixed-size at the very end of the file, so a reader finds
 // the footer without scanning the payload. Loading is hostile-input
-// hardened the same way as BBCK checkpoints (core/checkpoint.h) and the v1
+// hardened the same way as BBPR partials (core/partial.h) and the v1
 // header: checksum first, then plausibility - every offset, count, and id
 // is validated against the file size and format limits before anything is
 // allocated or dereferenced, and every rejection names the offending byte
@@ -54,7 +54,7 @@ inline constexpr char kBbv2TrailerMagic[4] = {'B', 'B', '2', 'X'};
 inline constexpr std::streamoff kBbvHeaderBytes = 20;
 inline constexpr std::streamoff kBbv2TrailerBytes = 20;
 
-// FNV-1a 64 - the same content hash BBCK checkpoints seal with. `seed`
+// FNV-1a 64 - the same content hash BBPR partials seal with. `seed`
 // chains multi-buffer hashes.
 inline constexpr std::uint64_t kFnv1a64Offset = 14695981039346656037ULL;
 std::uint64_t Fnv1a64(const char* data, std::size_t size,

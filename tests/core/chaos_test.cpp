@@ -9,13 +9,15 @@
 //     structured kAborted, and randomized schedules never crash;
 //   * checkpoint/resume: a killed run resumed from its checkpoint - even at
 //     a different thread count, even with quarantined frames - reproduces
-//     the uninterrupted output bit for bit, and hostile checkpoints fall
-//     back to a fresh run with the reason preserved.
+//     the uninterrupted output bit for bit, and hostile checkpoints (and an
+//     older build's BBCK checkpoint) fall back to a fresh run with the
+//     reason preserved.
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -24,9 +26,11 @@
 #include <utility>
 #include <vector>
 
+#include "../common/temp_dir.h"
 #include "common/faultinject.h"
 #include "common/parallel.h"
-#include "core/checkpoint.h"
+#include "core/partial.h"
+#include "core/wire.h"
 #include "segmentation/segmenter.h"
 #include "synth/recorder.h"
 #include "vbg/compositor.h"
@@ -102,8 +106,31 @@ ReconstructionResult ManualBadFrameReference(
   return manual.Finalize();
 }
 
-std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "bb_chaos_" + name;
+// A well-formed BBCK v3 checkpoint as builds before BBPR v2 sealed it: the
+// whole-stream range of `info`, decomposition sealed at frame 20, written
+// with `config_hash`, zero accumulators, and a valid checksum.
+std::string RetiredBbckCheckpoint(const video::StreamInfo& info,
+                                  std::uint64_t config_hash) {
+  const std::size_t pixels =
+      static_cast<std::size_t>(info.width) * info.height;
+  std::string out = "BBCK";
+  wire::PutU32(&out, 3);  // version
+  wire::PutU32(&out, static_cast<std::uint32_t>(info.width));
+  wire::PutU32(&out, static_cast<std::uint32_t>(info.height));
+  wire::PutU32(&out, static_cast<std::uint32_t>(info.frame_count));
+  wire::PutU32(&out,
+               static_cast<std::uint32_t>(std::lround(info.fps * 1000.0)));
+  wire::PutU32(&out, 20);  // frames_done
+  wire::PutU32(&out, 0);   // shard_begin
+  wire::PutU32(&out, static_cast<std::uint32_t>(info.frame_count));
+  wire::PutU64(&out, config_hash);
+  wire::PutU32(&out, 0);  // quarantine count
+  wire::PutU64(&out, pixels);
+  // counts (u64) and the six sum planes (f64 0.0 is all-zero bits).
+  for (std::size_t i = 0; i < pixels * 7; ++i) wire::PutU64(&out, 0);
+  for (int i = 0; i < info.frame_count; ++i) wire::PutF64(&out, 0.0);
+  wire::PutU64(&out, wire::Fnv1a64(out));
+  return out;
 }
 
 // xorshift64: repeatable schedules without wall-clock entropy.
@@ -305,7 +332,7 @@ TEST_F(ChaosTest, RandomizedSchedulesDegradeAndNeverCrash) {
 TEST_F(ChaosTest, KillAndResumeReproducesTheUninterruptedRun) {
   const ChaosFixture& f = ChaosFixture::Shared();
   const VbReference ref = VbReference::KnownImage(f.vb_image);
-  const std::string path = TestPath("resume.bbck");
+  const std::string path = testdir::TempPath("resume.bbck");
   std::remove(path.c_str());
 
   common::SetThreadCount(1);
@@ -393,8 +420,8 @@ TEST_F(ChaosTest, ResumeIsIdenticalWithAndWithoutSeekFastForward) {
   for (const bool seekable : {true, false}) {
     const std::string what =
         seekable ? "seek fast-forward resume" : "pull-and-discard resume";
-    const std::string path =
-        TestPath(seekable ? "resume_seek.bbck" : "resume_noseek.bbck");
+    const std::string path = testdir::TempPath(
+        seekable ? "resume_seek.bbck" : "resume_noseek.bbck");
     std::remove(path.c_str());
     StreamingOptions opts = clean_opts;
     opts.checkpoint_path = path;
@@ -434,7 +461,7 @@ TEST_F(ChaosTest, ResumeCarriesTheQuarantineAndHonorsTheBudget) {
   const ChaosFixture& f = ChaosFixture::Shared();
   const VbReference ref = VbReference::KnownImage(f.vb_image);
   const std::vector<int> bad = {3, 17};
-  const std::string path = TestPath("resume_quarantine.bbck");
+  const std::string path = testdir::TempPath("resume_quarantine.bbck");
   std::remove(path.c_str());
 
   common::SetThreadCount(1);
@@ -508,7 +535,7 @@ TEST_F(ChaosTest, ResumeCarriesTheQuarantineAndHonorsTheBudget) {
 TEST_F(ChaosTest, ResumeRefusesAnotherConfiguration) {
   const ChaosFixture& f = ChaosFixture::Shared();
   const VbReference ref = VbReference::KnownImage(f.vb_image);
-  const std::string path = TestPath("reconfigured.bbck");
+  const std::string path = testdir::TempPath("reconfigured.bbck");
   common::SetThreadCount(1);
 
   StreamingOptions written;
@@ -571,7 +598,7 @@ TEST_F(ChaosTest, ResumeRefusesAnotherConfiguration) {
 TEST_F(ChaosTest, HostileCheckpointFallsBackToAFreshRun) {
   const ChaosFixture& f = ChaosFixture::Shared();
   const VbReference ref = VbReference::KnownImage(f.vb_image);
-  const std::string path = TestPath("hostile.bbck");
+  const std::string path = testdir::TempPath("hostile.bbck");
 
   common::SetThreadCount(1);
   StreamingOptions clean_opts;
@@ -587,7 +614,7 @@ TEST_F(ChaosTest, HostileCheckpointFallsBackToAFreshRun) {
     // Corrupt bytes at the checkpoint path: structured DATA_LOSS reason,
     // fresh run, bit-identical output.
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "BBCKnot really a checkpoint";
+    out << "BBPRnot really a checkpoint";
   }
   {
     auto seg = MakeOracle(f);
@@ -601,16 +628,40 @@ TEST_F(ChaosTest, HostileCheckpointFallsBackToAFreshRun) {
   }
 
   {
+    // An older build's checkpoint of this very stream and configuration,
+    // sealed as BBCK v3: refused as a retired format (not corruption), and
+    // the run starts fresh instead of splicing its accumulators in.
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << RetiredBbckCheckpoint(clean_source.info(),
+                                 ConfigHash(opts.recon, opts.config_salt));
+  }
+  {
+    auto seg = MakeOracle(f);
+    StreamingReconstructor streaming(ref, *seg, opts);
+    video::VideoStreamSource source(f.call.video);
+    const auto run = streaming.Run(source);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_FALSE(streaming.stats().resumed);
+    EXPECT_EQ(streaming.checkpoint_status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_NE(streaming.checkpoint_status().message().find(
+                  "retired BBCK format of an older build"),
+              std::string::npos)
+        << streaming.checkpoint_status().ToString();
+    ExpectIdentical(*run, baseline, "retired BBCK checkpoint");
+  }
+
+  {
     // A valid checkpoint for a *different* stream: rejected by the identity
     // check, again with the reason preserved.
-    CheckpointState other;
+    PartialResult other;
     other.info = video::StreamInfo{8, 8, 5, 10.0};
+    other.range_begin = 0;
+    other.range_end = 5;
     other.frames_done = 2;
-    other.shard_begin = 0;
-    other.shard_end = 5;
     other.acc.Zero(64);
     other.per_frame_leak_fraction.assign(5, 0.0);
-    ASSERT_TRUE(SaveCheckpoint(other, path).ok());
+    ASSERT_TRUE(SavePartial(other, path).ok());
   }
   {
     auto seg = MakeOracle(f);

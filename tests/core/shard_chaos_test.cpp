@@ -3,7 +3,9 @@
 // DESIGN.md section 11 must survive the shard boundary of section 14:
 //   * a shard worker killed mid-range resumes from its own checkpoint -
 //     even at a different thread count - and the reduced output is still
-//     bit-identical to the uninterrupted single-process run;
+//     bit-identical to the uninterrupted single-process run, while the
+//     checkpoint itself (a BBPR partial short of its range end) is refused
+//     by the reducer;
 //   * a checkpoint written for a different shard range is refused with a
 //     structured reason and the worker falls back to a fresh (still
 //     correct) run, so splicing another worker's progress is impossible;
@@ -22,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "../common/temp_dir.h"
 #include "common/faultinject.h"
 #include "common/parallel.h"
 #include "core/partial.h"
@@ -102,10 +105,6 @@ ReconstructionResult ManualBadFrameReference(
   return manual.Finalize();
 }
 
-std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "bb_shard_chaos_" + name;
-}
-
 class ShardChaosTest : public ::testing::Test {
  protected:
   void TearDown() override {
@@ -117,7 +116,7 @@ class ShardChaosTest : public ::testing::Test {
 TEST_F(ShardChaosTest, KilledWorkerResumesAndTheMergeIsStillBitIdentical) {
   const ShardChaosFixture& f = ShardChaosFixture::Shared();
   const VbReference ref = VbReference::KnownImage(f.vb_image);
-  const std::string path = TestPath("killed_worker.bbck");
+  const std::string path = testdir::TempPath("killed_worker.bbck");
   std::remove(path.c_str());
 
   common::SetThreadCount(1);
@@ -165,8 +164,24 @@ TEST_F(ShardChaosTest, KilledWorkerResumesAndTheMergeIsStillBitIdentical) {
     EXPECT_EQ(interrupted.stats().checkpoint_writes, 1u);
   }
   {
-    std::ifstream left_behind(path, std::ios::binary);
-    ASSERT_TRUE(left_behind.good()) << "interrupt must leave a checkpoint";
+    // The checkpoint left behind is a BBPR partial sealed at frame 18 of
+    // [13, 26); the reducer must refuse it in place of a finished shard.
+    auto checkpoint = LoadPartial(path);
+    ASSERT_TRUE(checkpoint.ok()) << "interrupt must leave a checkpoint: "
+                                 << checkpoint.status().ToString();
+    EXPECT_EQ(checkpoint->range_begin, 13);
+    EXPECT_EQ(checkpoint->range_end, 26);
+    EXPECT_EQ(checkpoint->frames_done, 18);
+    std::vector<PartialResult> early = partials;
+    early.push_back(std::move(*checkpoint));
+    const auto refused = ReducePartials(std::move(early));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(refused.status().message().find(
+                  "partial [13, 26) is an unfinished checkpoint: decomposed "
+                  "only up to frame 18"),
+              std::string::npos)
+        << refused.status().ToString();
   }
 
   // Resume at a different thread count: the resume base joins the exact
@@ -194,7 +209,7 @@ TEST_F(ShardChaosTest, KilledWorkerResumesAndTheMergeIsStillBitIdentical) {
 TEST_F(ShardChaosTest, CheckpointFromAnotherShardRangeIsRefused) {
   const ShardChaosFixture& f = ShardChaosFixture::Shared();
   const VbReference ref = VbReference::KnownImage(f.vb_image);
-  const std::string path = TestPath("cross_shard.bbck");
+  const std::string path = testdir::TempPath("cross_shard.bbck");
   std::remove(path.c_str());
   common::SetThreadCount(1);
 

@@ -3,11 +3,13 @@
 // decomposing only its slice [frames*i/K, frames*(i+1)/K), emit sealed
 // BBPR partials that core/reduce.h folds into output *bit-identical* to a
 // single uninterrupted run - at any shard count, thread count, or window
-// size, with partials merged in any arrival order. The BBPR file itself is
-// attacker-adjacent state on disk, so hostile loading is pinned here too:
-// every truncation/bit-flip/reseal rejects with a structured error naming
-// the offending byte range, and the reducer refuses overlapping, missing,
-// or config-mismatched partials before touching an accumulator.
+// size, with partials merged in any arrival order. The BBPR file itself -
+// a finished partial, or a checkpoint short of its range end - is
+// attacker-adjacent state on disk, so the one hostile-loading corpus is
+// pinned here too: every truncation/bit-flip/reseal rejects with a
+// structured error naming the offending byte range, and the reducer
+// refuses unfinished, overlapping, missing, or config-mismatched partials
+// before touching an accumulator.
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "../common/temp_dir.h"
 #include "common/parallel.h"
 #include "core/partial.h"
 #include "core/reduce.h"
@@ -86,10 +89,6 @@ Result<PartialResult> RunShard(const VbReference& ref,
   StreamingReconstructor worker(ref, seg, opts);
   video::VideoStreamSource source(call.video);
   return worker.RunPartial(source);
-}
-
-std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "bb_shard_" + name;
 }
 
 std::string ReadFile(const std::string& path) {
@@ -321,7 +320,7 @@ TEST_F(ShardTest, SeekAndLinearSkipSealIdenticalPartialBytes) {
     const auto partial = worker.RunPartial(source);
     ASSERT_TRUE(partial.ok()) << partial.status().ToString();
     const std::string path =
-        TestPath(seekable ? "seek.bbpr" : "noseek.bbpr");
+        testdir::TempPath(seekable ? "seek.bbpr" : "noseek.bbpr");
     std::remove(path.c_str());
     ASSERT_TRUE(SavePartial(*partial, path).ok());
     paths.push_back(path);
@@ -381,6 +380,8 @@ PartialResult SamplePartial() {
   p.config_hash = 0x1234ABCDULL;
   p.range_begin = 2;
   p.range_end = 7;
+  // Short of range_end: a checkpoint, which loads like a finished partial.
+  p.frames_done = 5;
   p.bad_budget = 3;
   p.min_leak_count = 2;
   p.max_color_spread = 48.0;
@@ -404,7 +405,7 @@ PartialResult SamplePartial() {
 }
 
 TEST_F(ShardTest, PartialRoundTripsEveryField) {
-  const std::string path = TestPath("roundtrip.bbpr");
+  const std::string path = testdir::TempPath("roundtrip.bbpr");
   const PartialResult saved = SamplePartial();
   ASSERT_TRUE(SavePartial(saved, path).ok());
   {
@@ -421,6 +422,7 @@ TEST_F(ShardTest, PartialRoundTripsEveryField) {
   EXPECT_EQ(loaded->config_hash, saved.config_hash);
   EXPECT_EQ(loaded->range_begin, saved.range_begin);
   EXPECT_EQ(loaded->range_end, saved.range_end);
+  EXPECT_EQ(loaded->frames_done, saved.frames_done);
   EXPECT_EQ(loaded->bad_budget, saved.bad_budget);
   EXPECT_EQ(loaded->min_leak_count, saved.min_leak_count);
   EXPECT_DOUBLE_EQ(loaded->max_color_spread, saved.max_color_spread);
@@ -438,7 +440,7 @@ TEST_F(ShardTest, PartialRoundTripsEveryField) {
 }
 
 TEST_F(ShardTest, UnlimitedBudgetRoundTripsAsMinusOne) {
-  const std::string path = TestPath("budget.bbpr");
+  const std::string path = testdir::TempPath("budget.bbpr");
   PartialResult saved = SamplePartial();
   saved.bad_budget = -1;  // 0xFFFFFFFF on the wire
   ASSERT_TRUE(SavePartial(saved, path).ok());
@@ -449,7 +451,7 @@ TEST_F(ShardTest, UnlimitedBudgetRoundTripsAsMinusOne) {
 }
 
 TEST_F(ShardTest, MissingPartialIsNotFound) {
-  const auto loaded = LoadPartial(TestPath("never_written.bbpr"));
+  const auto loaded = LoadPartial(testdir::TempPath("never_written.bbpr"));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
   EXPECT_NE(loaded.status().message().find("never_written"),
@@ -457,10 +459,10 @@ TEST_F(ShardTest, MissingPartialIsNotFound) {
 }
 
 TEST_F(ShardTest, EveryTruncationIsStructuredDataLoss) {
-  const std::string path = TestPath("truncate.bbpr");
+  const std::string path = testdir::TempPath("truncate.bbpr");
   ASSERT_TRUE(SavePartial(SamplePartial(), path).ok());
   const std::string full = ReadFile(path);
-  ASSERT_GT(full.size(), 84u);
+  ASSERT_GT(full.size(), 88u);
   for (std::size_t len = 0; len < full.size();
        len += (len < 96 ? 1 : 89)) {
     WriteFile(path, full.substr(0, len));
@@ -472,7 +474,7 @@ TEST_F(ShardTest, EveryTruncationIsStructuredDataLoss) {
 }
 
 TEST_F(ShardTest, AnySingleBitFlipIsCaughtByTheChecksum) {
-  const std::string path = TestPath("bitflip.bbpr");
+  const std::string path = testdir::TempPath("bitflip.bbpr");
   ASSERT_TRUE(SavePartial(SamplePartial(), path).ok());
   const std::string full = ReadFile(path);
   for (std::size_t pos = 0; pos < full.size(); pos += 53) {
@@ -487,7 +489,7 @@ TEST_F(ShardTest, AnySingleBitFlipIsCaughtByTheChecksum) {
 }
 
 TEST_F(ShardTest, BadMagicNamesItsByteRange) {
-  const std::string path = TestPath("magic.bbpr");
+  const std::string path = testdir::TempPath("magic.bbpr");
   WriteFile(path, Reseal("XXPR then some bytes that do not matter"));
   const auto loaded = LoadPartial(path);
   ASSERT_FALSE(loaded.ok());
@@ -498,23 +500,45 @@ TEST_F(ShardTest, BadMagicNamesItsByteRange) {
 }
 
 TEST_F(ShardTest, VersionMismatchIsFailedPrecondition) {
-  const std::string path = TestPath("version.bbpr");
+  const std::string path = testdir::TempPath("version.bbpr");
   ASSERT_TRUE(SavePartial(SamplePartial(), path).ok());
   std::string body = ReadFile(path);
   body.resize(body.size() - 8);  // drop the old checksum
-  body[4] = 9;                   // version u32 little-endian at bytes 4..7
-  WriteFile(path, Reseal(body));
+  // Version u32 little-endian at bytes 4..7: a v1 file (no frames_done)
+  // from an older build and a future v9 are both refused.
+  for (const int version : {1, 9}) {
+    body[4] = static_cast<char>(version);
+    WriteFile(path, Reseal(body));
+    const auto loaded = LoadPartial(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(loaded.status().message().find(
+                  "unsupported partial version " + std::to_string(version) +
+                  " (want 2) at bytes 4-7"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(ShardTest, RetiredCheckpointMagicIsFailedPrecondition) {
+  const std::string path = testdir::TempPath("retired.bbck");
+  // An older build's BBCK checkpoint is not corruption: the refusal says
+  // what it is, so a resume starts fresh behind a clear reason.
+  WriteFile(path, Reseal("BBCK then some bytes that do not matter"));
   const auto loaded = LoadPartial(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(loaded.status().message().find(
-                "unsupported partial version 9 (want 1) at bytes 4-7"),
-            std::string::npos);
+                "checkpoint in the retired BBCK format of an older build at "
+                "bytes 0-3"),
+            std::string::npos)
+      << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
 TEST_F(ShardTest, ResealedImplausibleRangeNamesItsBytes) {
-  const std::string path = TestPath("range.bbpr");
+  const std::string path = testdir::TempPath("range.bbpr");
   ASSERT_TRUE(SavePartial(SamplePartial(), path).ok());
   std::string body = ReadFile(path);
   body.resize(body.size() - 8);
@@ -532,16 +556,39 @@ TEST_F(ShardTest, ResealedImplausibleRangeNamesItsBytes) {
   std::remove(path.c_str());
 }
 
+TEST_F(ShardTest, ResealedFramesDoneOutsideTheRangeRejects) {
+  const std::string path = testdir::TempPath("frames_done.bbpr");
+  ASSERT_TRUE(SavePartial(SamplePartial(), path).ok());
+  std::string body = ReadFile(path);
+  body.resize(body.size() - 8);
+  // frames_done (bytes 64..67) past range_end, then below range_begin: a
+  // valid checksum must not let a lying cursor resume past the range (with
+  // nothing left to decompose) or before it.
+  for (const int frames_done : {8, 1}) {
+    body[64] = static_cast<char>(frames_done);
+    WriteFile(path, Reseal(body));
+    const auto loaded = LoadPartial(path);
+    ASSERT_FALSE(loaded.ok()) << frames_done;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(loaded.status().message().find(
+                  "implausible frames_done " + std::to_string(frames_done) +
+                  " outside the frame range [2, 7] at bytes 64-67"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ShardTest, ResealedLeakCountBeyondTheRangeRejects) {
-  const std::string path = TestPath("counts.bbpr");
+  const std::string path = testdir::TempPath("counts.bbpr");
   const PartialResult saved = SamplePartial();
   ASSERT_TRUE(SavePartial(saved, path).ok());
   std::string body = ReadFile(path);
   body.resize(body.size() - 8);
-  // counts[0] is a u64 right after the 68-byte header, the quarantine list
+  // counts[0] is a u64 right after the 72-byte header, the quarantine list
   // (2 entries), and the pixels u64; force it past the 5-frame range.
   const std::size_t counts_at =
-      68 + saved.quarantined.size() * 4 + 8;
+      72 + saved.quarantined.size() * 4 + 8;
   body[counts_at] = static_cast<char>(0xFF);
   WriteFile(path, Reseal(body));
   const auto loaded = LoadPartial(path);
@@ -554,13 +601,13 @@ TEST_F(ShardTest, ResealedLeakCountBeyondTheRangeRejects) {
 }
 
 TEST_F(ShardTest, ResealedUnsortedQuarantineRejects) {
-  const std::string path = TestPath("quarantine.bbpr");
+  const std::string path = testdir::TempPath("quarantine.bbpr");
   ASSERT_TRUE(SavePartial(SamplePartial(), path).ok());
   std::string body = ReadFile(path);
   body.resize(body.size() - 8);
   // Swap the two quarantine entries ({1, 6} -> {6, 1}): the list must be
   // ascending so the reducer's union walk stays linear.
-  std::swap(body[68], body[72]);
+  std::swap(body[72], body[76]);
   WriteFile(path, Reseal(body));
   const auto loaded = LoadPartial(path);
   ASSERT_FALSE(loaded.ok());
@@ -572,7 +619,7 @@ TEST_F(ShardTest, ResealedUnsortedQuarantineRejects) {
 }
 
 TEST_F(ShardTest, ResealedTrailingBytesReject) {
-  const std::string path = TestPath("trailing.bbpr");
+  const std::string path = testdir::TempPath("trailing.bbpr");
   ASSERT_TRUE(SavePartial(SamplePartial(), path).ok());
   std::string body = ReadFile(path);
   body.resize(body.size() - 8);
@@ -602,6 +649,21 @@ std::vector<PartialResult> TwoShardPartials(const ShardFixture& f,
     partials.push_back(RunShard(ref, *seg, f.call, opts, i, 2).value());
   }
   return partials;
+}
+
+TEST_F(ShardTest, ReduceRefusesAnUnfinishedCheckpoint) {
+  const ShardFixture& f = ShardFixture::Shared();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  auto partials = TwoShardPartials(f, ref);
+  partials[1].frames_done = 30;  // stopped 10 frames short of [20, 40)
+  const auto merged = ReducePartials(std::move(partials));
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(merged.status().message().find(
+                "partial [20, 40) is an unfinished checkpoint: decomposed "
+                "only up to frame 30"),
+            std::string::npos)
+      << merged.status().ToString();
 }
 
 TEST_F(ShardTest, ReduceRefusesZeroPartials) {

@@ -1,40 +1,22 @@
-// Disk-fault chaos for the sealed-state writers (checkpoint, partial, job
-// record), all of which seal through common::AtomicWriteFile and its
-// "write" fault point. The invariant pinned here: a failed seal NEVER
-// leaves a truncated file visible at the destination path - the crash
-// window lives entirely in the ".tmp" sibling, so readers only ever see
-// the previous complete generation (or nothing). A corrupt seal that does
-// land is caught by the loader's checksum, never silently trusted.
+// Disk-fault chaos for the one sealed-state writer: BBPR partials and
+// checkpoints and BBJB job records all seal through common::AtomicWriteFile
+// and its "write" fault point, exercised here through SavePartial. The
+// invariant pinned here: a failed seal NEVER leaves a truncated file
+// visible at the destination path - the crash window lives entirely in the
+// ".tmp" sibling, so readers only ever see the previous complete
+// generation (or nothing). A corrupt seal that does land is caught by the
+// loader's checksum, never silently trusted.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
 
+#include "../common/temp_dir.h"
 #include "common/faultinject.h"
-#include "core/checkpoint.h"
 #include "core/partial.h"
 
 namespace bb::core {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-CheckpointState SmallState() {
-  CheckpointState state;
-  state.info.width = 4;
-  state.info.height = 3;
-  state.info.frame_count = 6;
-  state.info.fps = 12.0;
-  state.frames_done = 2;
-  state.shard_begin = 0;
-  state.shard_end = 6;
-  state.acc.Zero(12);
-  state.per_frame_leak_fraction.assign(6, 0.25);
-  return state;
-}
 
 PartialResult SmallPartial() {
   PartialResult partial;
@@ -45,6 +27,7 @@ PartialResult SmallPartial() {
   partial.config_hash = 0x1234;
   partial.range_begin = 0;
   partial.range_end = 6;
+  partial.frames_done = 6;
   partial.acc.Zero(12);
   partial.per_frame_leak_fraction.assign(6, 0.25);
   return partial;
@@ -55,83 +38,52 @@ class WriteFaultChaosTest : public ::testing::Test {
   void TearDown() override { faultinject::Clear(); }
 };
 
-TEST_F(WriteFaultChaosTest, TruncatedCheckpointSealIsNeverVisible) {
-  const std::string path = TempPath("bbck_write_truncate.bbck");
-  std::remove(path.c_str());
+TEST_F(WriteFaultChaosTest, TruncatedPartialSealIsNeverVisible) {
+  const std::string path = testdir::TempPath("write_truncate.bbpr");
   ASSERT_TRUE(faultinject::Configure("write@0=truncate").ok());
-
-  const Status saved = SaveCheckpoint(SmallState(), path);
+  const Status saved = SavePartial(SmallPartial(), path);
   ASSERT_FALSE(saved.ok());
   EXPECT_EQ(saved.code(), StatusCode::kIoError);
   // The half-written bytes stay in the .tmp sibling; the destination path
-  // must not exist at all - a reader polling for the checkpoint can never
-  // observe a torn file.
+  // must not exist at all. attackd skips a shard only when its partial
+  // path exists, and a resume polls the checkpoint path: a torn file
+  // appearing here would be merged or resumed as if complete.
   EXPECT_FALSE(std::filesystem::exists(path)) << "truncated seal visible";
 
   // The next (un-faulted) seal lands normally and loads clean.
   faultinject::Clear();
-  ASSERT_TRUE(SaveCheckpoint(SmallState(), path).ok());
-  const auto loaded = LoadCheckpoint(path);
+  ASSERT_TRUE(SavePartial(SmallPartial(), path).ok());
+  const auto loaded = LoadPartial(path);
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
 TEST_F(WriteFaultChaosTest, FailedCheckpointSealLeavesPriorGenerationIntact) {
-  const std::string path = TempPath("bbck_write_fail.bbck");
-  std::remove(path.c_str());
+  const std::string path = testdir::TempPath("write_fail.bbck");
   // Seal generation 1 clean, then fail generation 2's write outright.
-  CheckpointState state = SmallState();
-  ASSERT_TRUE(SaveCheckpoint(state, path).ok());
+  PartialResult checkpoint = SmallPartial();
+  checkpoint.frames_done = 2;
+  ASSERT_TRUE(SavePartial(checkpoint, path).ok());
   ASSERT_TRUE(faultinject::Configure("write@0=fail").ok());
-  state.frames_done = 4;
-  const Status saved = SaveCheckpoint(state, path);
+  checkpoint.frames_done = 4;
+  const Status saved = SavePartial(checkpoint, path);
   ASSERT_FALSE(saved.ok());
 
   // Generation 1 is still there, whole, and loads with its own contents.
-  const auto loaded = LoadCheckpoint(path);
+  const auto loaded = LoadPartial(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->frames_done, 2);
-  std::remove(path.c_str());
-}
-
-TEST_F(WriteFaultChaosTest, CorruptCheckpointSealIsCaughtByTheLoader) {
-  const std::string path = TempPath("bbck_write_corrupt.bbck");
-  std::remove(path.c_str());
-  ASSERT_TRUE(faultinject::Configure("write@0=corrupt").ok());
-  // A corrupt seal "succeeds" at the I/O layer - the bytes land renamed -
-  // so only the loader's checksum stands between the flip and a resume.
-  ASSERT_TRUE(SaveCheckpoint(SmallState(), path).ok());
-  const auto loaded = LoadCheckpoint(path);
-  ASSERT_FALSE(loaded.ok()) << "loader trusted a corrupt seal";
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
-  std::remove(path.c_str());
-}
-
-TEST_F(WriteFaultChaosTest, TruncatedPartialSealIsNeverVisible) {
-  const std::string path = TempPath("bbpr_write_truncate.bbpr");
-  std::remove(path.c_str());
-  ASSERT_TRUE(faultinject::Configure("write@0=truncate").ok());
-  const Status saved = SavePartial(SmallPartial(), path);
-  ASSERT_FALSE(saved.ok());
-  EXPECT_FALSE(std::filesystem::exists(path)) << "truncated seal visible";
-  // attackd skips a shard only when its partial path exists; a torn
-  // partial appearing here would be merged as if complete.
-  faultinject::Clear();
-  ASSERT_TRUE(SavePartial(SmallPartial(), path).ok());
-  EXPECT_TRUE(LoadPartial(path).ok());
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
 }
 
 TEST_F(WriteFaultChaosTest, CorruptPartialSealIsCaughtByTheLoader) {
-  const std::string path = TempPath("bbpr_write_corrupt.bbpr");
-  std::remove(path.c_str());
+  const std::string path = testdir::TempPath("write_corrupt.bbpr");
   ASSERT_TRUE(faultinject::Configure("write@0=corrupt").ok());
+  // A corrupt seal "succeeds" at the I/O layer - the bytes land renamed -
+  // so only the loader's checksum stands between the flip and a merge or
+  // a resume.
   ASSERT_TRUE(SavePartial(SmallPartial(), path).ok());
   const auto loaded = LoadPartial(path);
   ASSERT_FALSE(loaded.ok()) << "loader trusted a corrupt seal";
-  std::remove(path.c_str());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

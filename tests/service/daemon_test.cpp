@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "../common/temp_dir.h"
 #include "common/faultinject.h"
 #include "common/trace.h"
 #include "service/daemon.h"
@@ -94,24 +95,8 @@ std::string ReadAll(const std::string& path) {
 }
 
 // Everything this binary writes lives under one directory keyed on the pid,
-// so concurrently running test processes never share a path; the directory
-// is removed when the process exits.
-std::string TempPath(const std::string& name) {
-  struct Dir {
-    fs::path path = fs::temp_directory_path() /
-                    ("bb_daemon_" + std::to_string(::getpid()));
-    Dir() {
-      fs::remove_all(path);
-      fs::create_directories(path);
-    }
-    ~Dir() {
-      std::error_code ec;
-      fs::remove_all(path, ec);
-    }
-  };
-  static const Dir dir;
-  return (dir.path / name).string();
-}
+// so concurrently running test processes never share a path.
+using testdir::TempPath;
 
 // WriteImageAuto writes <base>.png when PNG support is built in and
 // <base>.ppm otherwise; reads whichever was written.
@@ -408,6 +393,40 @@ TEST_F(DaemonTest, KilledWorkerMidRangeRecoversByteIdentical) {
 
   EXPECT_EQ(ReadImage(OutBase("killed_worker")),
             DirectReconstruction(LongStream()));
+}
+
+TEST_F(DaemonTest, RefusedPartialIsRecomputedNotReused) {
+  // A junk partial for shard 1 sits in the job's workdir before the first
+  // attempt (a torn seal, media corruption, or an older build's format).
+  // The attempt skips shard 1 and the reducer refuses the file; the
+  // daemon must drop the partials so the retry recomputes them instead of
+  // re-merging the same bytes until the attempt budget is spent.
+  JobSpec spec = QuickJob("refused_partial", /*shards=*/2);
+  spec.backoff_ms = 0;
+  const std::uint64_t id = Submit(spec);
+  const fs::path workdir = fs::path(root_) / kWorkDir / std::to_string(id);
+  fs::create_directories(workdir);
+  std::ofstream(workdir / "shard1of2.bbpr", std::ios::binary)
+      << "BBPR: junk that no reducer can load.";  // 36 bytes
+
+  Daemon daemon(Opts());
+  ASSERT_TRUE(daemon.Run().ok());
+  EXPECT_EQ(daemon.stats().jobs_done, 1);
+  // Shard 0 + reduce, then both shards + reduce.
+  EXPECT_EQ(daemon.stats().workers_spawned, 5);
+
+  const auto job = LoadJob(JobPath(root_, kDoneDir, id));
+  ASSERT_TRUE(job.ok()) << "job did not finish";
+  ASSERT_EQ(job->attempts.size(), 2u);
+  EXPECT_EQ(job->attempts[0].exit_code, 1);
+  EXPECT_NE(job->attempts[0].reason.find(
+                "reduce exited 1 (see " + workdir.string() +
+                "/reduce.log); removed the job's partials for recomputation"),
+            std::string::npos)
+      << job->attempts[0].reason;
+  EXPECT_EQ(job->attempts[1].exit_code, 0);
+  EXPECT_EQ(ReadImage(OutBase("refused_partial")),
+            DirectReconstruction(SmallStream()));
 }
 
 TEST_F(DaemonTest, WatchdogKillsHungWorkerAndExhaustionQuarantines) {

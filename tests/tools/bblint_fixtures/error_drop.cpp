@@ -2,11 +2,11 @@
 #include <string>
 
 #include "common/status.h"
-#include "core/checkpoint.h"
+#include "core/partial.h"
 
-void Checkpoint(const bb::core::CheckpointState& state,
+void Checkpoint(const bb::core::PartialResult& partial,
                 const std::string& path) {
-  const bb::Status ok = bb::core::SaveCheckpoint(state, path);  // fine
+  const bb::Status ok = bb::core::SavePartial(partial, path);  // fine
   (void)ok;
-  bb::core::SaveCheckpoint(state, path);  // the one violation
+  bb::core::SavePartial(partial, path);  // the one violation
 }

@@ -348,7 +348,7 @@ TEST(SilentErrorDropRuleTest, FlagsBareStatementCallsToMustCheckFunctions) {
   EXPECT_EQ(CountRule(Lint("LoadBbv(path);\n"), kRuleSilentErrorDrop), 1);
   EXPECT_EQ(CountRule(Lint("video::LoadBbv(path);\n"), kRuleSilentErrorDrop),
             1);
-  EXPECT_EQ(CountRule(Lint("bb::core::SaveCheckpoint(state, path);\n"),
+  EXPECT_EQ(CountRule(Lint("bb::core::SavePartial(partial, path);\n"),
                       kRuleSilentErrorDrop),
             1);
   EXPECT_EQ(CountRule(Lint("faultinject::Configure(spec);\n"),
@@ -385,7 +385,7 @@ TEST(SilentErrorDropRuleTest, ConsumedResultsAreClean) {
                       kRuleSilentErrorDrop),
             0);
   EXPECT_EQ(
-      CountRule(Lint("(void)SaveCheckpoint(state, path);\n"),
+      CountRule(Lint("(void)SavePartial(partial, path);\n"),
                 kRuleSilentErrorDrop),
       0);
   EXPECT_EQ(CountRule(Lint("ASSERT_TRUE(LoadBbv(path).ok());\n",

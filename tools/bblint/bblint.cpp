@@ -379,7 +379,7 @@ void CheckPerPixelLoop(const FileView& v, std::vector<Finding>* out) {
 void CheckSilentErrorDrop(const FileView& v, std::vector<Finding>* out) {
   static const std::regex kBareCall(
       R"(^\s*(?:\w+\s*::\s*)*)"
-      R"((SaveCheckpoint|LoadCheckpoint|LoadBbv|LoadPpm|LoadPng|LoadImageAuto|Configure|PushBadFrame|WriteBbv|WriteBbv2|Seek)\s*\()");
+      R"((SavePartial|LoadPartial|LoadBbv|LoadPpm|LoadPng|LoadImageAuto|Configure|PushBadFrame|WriteBbv|WriteBbv2|Seek)\s*\()");
   static const std::regex kBareWithContext(
       R"(^\s*[A-Za-z_][\w.]*(?:\.|->)\s*WithContext\s*\()");
 
@@ -467,7 +467,7 @@ const std::vector<RuleInfo>& RuleCatalog() {
        "src/ only; exempt: src/imaging/kernels/"},
       {kRuleSilentErrorDrop, RulePhase::kLine,
        "no bare-statement calls to the curated must-check Status/Result "
-       "functions (LoadBbv, SaveCheckpoint, ...)", ""},
+       "functions (LoadBbv, SavePartial, ...)", ""},
       {kRuleLayering, RulePhase::kProject,
        "module includes follow the layer DAG common -> imaging/kernels -> "
        "imaging -> {video, segmentation, synth, vbg, detect, datasets} -> "

@@ -33,7 +33,7 @@
 //                                the type level; this rule catches the bare
 //                                statement calls to the curated must-check
 //                                error-returning functions (LoadBbv,
-//                                SaveCheckpoint, Configure, ...) that a
+//                                SavePartial, Configure, ...) that a
 //                                legacy pattern could still drop silently.
 //
 // Phase 2 - project rules. LintTree() builds a whole-tree model (include

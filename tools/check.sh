@@ -20,8 +20,8 @@
 #      (backbuster attack --shard i/3) plus backbuster reduce, require the
 #      merged reconstruction byte-identical to the single-process run, the
 #      shard-scaling gauges in the perf report (report_check
-#      --require-measured), and the shard-equivalence test matrix
-#      (ctest -R shard)
+#      --require-measured), and the shard-equivalence test matrix with the
+#      one hostile BBPR corpus, checkpoints included (ctest -R shard)
 #   7. attackd smoke: spool two healthy jobs (one multi-shard) plus one
 #      hostile record through attackctl, drain the spool with attackd
 #      --drain-once, require both reconstructions byte-identical to direct
