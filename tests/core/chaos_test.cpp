@@ -9,7 +9,8 @@
 //     structured kAborted, and randomized schedules never crash;
 //   * checkpoint/resume: a killed run resumed from its checkpoint - even at
 //     a different thread count, even with quarantined frames - reproduces
-//     the uninterrupted output bit for bit, and hostile checkpoints (and an
+//     the uninterrupted output bit for bit, a checkpoint that reached its
+//     range end is a finished partial, and hostile checkpoints (and an
 //     older build's BBCK checkpoint) fall back to a fresh run with the
 //     reason preserved.
 #include "core/streaming.h"
@@ -30,6 +31,7 @@
 #include "common/faultinject.h"
 #include "common/parallel.h"
 #include "core/partial.h"
+#include "core/reduce.h"
 #include "core/wire.h"
 #include "segmentation/segmenter.h"
 #include "synth/recorder.h"
@@ -385,6 +387,61 @@ TEST_F(ChaosTest, KillAndResumeReproducesTheUninterruptedRun) {
   // A completed run supersedes its checkpoint.
   std::ifstream gone(path, std::ios::binary);
   EXPECT_FALSE(gone.good());
+}
+
+TEST_F(ChaosTest, CheckpointAtTheRangeEndIsAFinishedPartial) {
+  const ChaosFixture& f = ChaosFixture::Shared();
+  const VbReference ref = VbReference::KnownImage(f.vb_image);
+  const std::string path = testdir::TempPath("range_end.bbck");
+
+  common::SetThreadCount(1);
+  StreamingOptions clean_opts;
+  clean_opts.window_frames = 10;
+  auto base_seg = MakeOracle(f);
+  StreamingReconstructor clean(ref, *base_seg, clean_opts);
+  video::VideoStreamSource clean_source(f.call.video);
+  const ReconstructionResult baseline = clean.Run(clean_source).value();
+
+  StreamingOptions opts = clean_opts;
+  opts.checkpoint_path = path;
+  {
+    // "Kill" after the last flush but before Finalize removes the
+    // checkpoint: every frame of the final pass pushed and the pass ended.
+    auto seg = MakeOracle(f);
+    StreamingReconstructor interrupted(ref, *seg, opts);
+    video::VideoStreamSource source(f.call.video);
+    interrupted.Begin(source.info());
+    for (int pass = 0; pass < interrupted.TotalPasses(); ++pass) {
+      interrupted.BeginPass(pass);
+      for (int i = 0; i < f.call.video.frame_count(); ++i) {
+        interrupted.PushFrame(f.call.video.frame(i), i);
+      }
+      interrupted.EndPass(pass);
+    }
+    EXPECT_EQ(interrupted.stats().checkpoint_writes, 4u);
+  }
+
+  // The last checkpoint reached its range end, so nothing tells it apart
+  // from the partial a finished worker emits: the reducer takes it whole.
+  const auto left = LoadPartial(path);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_EQ(left->frames_done, 40);
+  EXPECT_EQ(left->range_end, 40);
+  const auto merged = ReducePartials({*left});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ExpectIdentical(*merged, baseline, "range-end checkpoint reduced");
+
+  // A resume finds nothing left to decompose and still reproduces the run.
+  auto seg = MakeOracle(f);
+  StreamingReconstructor resumed(ref, *seg, opts);
+  video::VideoStreamSource source(f.call.video);
+  const auto run = resumed.Run(source);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(resumed.checkpoint_status().ok())
+      << resumed.checkpoint_status().ToString();
+  EXPECT_TRUE(resumed.stats().resumed);
+  EXPECT_EQ(resumed.stats().resume_frames_done, 40);
+  ExpectIdentical(*run, baseline, "range-end checkpoint resumed");
 }
 
 // Hides the seek capability of an inner source, so the legacy

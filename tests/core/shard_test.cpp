@@ -579,6 +579,22 @@ TEST_F(ShardTest, ResealedFramesDoneOutsideTheRangeRejects) {
   std::remove(path.c_str());
 }
 
+TEST_F(ShardTest, FramesDoneAtEitherEndOfTheRangeLoads) {
+  const std::string path = testdir::TempPath("frames_done_ends.bbpr");
+  // [range_begin, range_end] is closed: a checkpoint that has decomposed
+  // none of [2, 7) yet and a finished partial of it both load.
+  for (const int frames_done : {2, 7}) {
+    PartialResult saved = SamplePartial();
+    saved.frames_done = frames_done;
+    ASSERT_TRUE(SavePartial(saved, path).ok());
+    const auto loaded = LoadPartial(path);
+    ASSERT_TRUE(loaded.ok()) << frames_done << ": "
+                             << loaded.status().ToString();
+    EXPECT_EQ(loaded->frames_done, frames_done);
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ShardTest, ResealedLeakCountBeyondTheRangeRejects) {
   const std::string path = testdir::TempPath("counts.bbpr");
   const PartialResult saved = SamplePartial();

@@ -1,6 +1,7 @@
 // BBJB job-record contract: sealed round-trip fidelity, the hostile-load
 // corpus (truncation at every boundary, bit flips the checksum must catch,
-// implausible fields behind a *valid* reseal), the deterministic backoff
+// implausible fields behind a *valid* reseal), torn, failed and corrupt
+// seals through the "write" fault point, the deterministic backoff
 // schedule, and spec validation - the admission gate attackd and attackctl
 // both call.
 #include <gtest/gtest.h>
@@ -11,15 +12,15 @@
 #include <fstream>
 #include <string>
 
+#include "../common/temp_dir.h"
+#include "common/faultinject.h"
 #include "core/wire.h"
 #include "service/job.h"
 
 namespace bb::service {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using testdir::TempPath;
 
 JobRecord SampleJob() {
   JobRecord job;
@@ -188,6 +189,56 @@ TEST(JobRecordTest, ImplausibleFieldsBehindAValidSealAreRejected) {
         << loaded.status().ToString();
   }
   std::remove(path.c_str());
+}
+
+class JobSealFaultTest : public ::testing::Test {
+ protected:
+  void TearDown() override { faultinject::Clear(); }
+};
+
+TEST_F(JobSealFaultTest, TruncatedSealIsNeverVisible) {
+  const std::string path = TempPath("bbjb_write_truncate.bbjb");
+  ASSERT_TRUE(faultinject::Configure("write@0=truncate").ok());
+  const Status saved = SaveJob(SampleJob(), path);
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.code(), StatusCode::kIoError);
+  // The half-written bytes stay in the .tmp sibling, which ListJobs and
+  // recovery ignore: a torn record at the destination would be
+  // quarantined as unreadable on the next cold start.
+  EXPECT_FALSE(std::filesystem::exists(path)) << "truncated seal visible";
+
+  faultinject::Clear();
+  ASSERT_TRUE(SaveJob(SampleJob(), path).ok());
+  const auto loaded = LoadJob(path);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+}
+
+TEST_F(JobSealFaultTest, FailedSealLeavesPriorGenerationIntact) {
+  const std::string path = TempPath("bbjb_write_fail.bbjb");
+  // Seal the running record clean, then fail the seal of its next
+  // generation (one more attempt, finished).
+  JobRecord job = SampleJob();
+  ASSERT_TRUE(SaveJob(job, path).ok());
+  ASSERT_TRUE(faultinject::Configure("write@0=fail").ok());
+  job.state = JobState::kDone;
+  job.attempts.push_back({200, 0, ""});
+  ASSERT_FALSE(SaveJob(job, path).ok());
+
+  const auto loaded = LoadJob(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->state, JobState::kRunning);
+  EXPECT_EQ(loaded->attempts.size(), 2u);
+}
+
+TEST_F(JobSealFaultTest, CorruptSealIsCaughtByTheLoader) {
+  const std::string path = TempPath("bbjb_write_corrupt.bbjb");
+  ASSERT_TRUE(faultinject::Configure("write@0=corrupt").ok());
+  // The flipped byte lands renamed; only the checksum stops the daemon
+  // from acting on it.
+  ASSERT_TRUE(SaveJob(SampleJob(), path).ok());
+  const auto loaded = LoadJob(path);
+  ASSERT_FALSE(loaded.ok()) << "loader trusted a corrupt seal";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(JobRecordTest, BackoffScheduleIsDeterministicAndCapped) {

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "../common/temp_dir.h"
+#include "common/faultinject.h"
 #include "service/job.h"
 #include "service/spool.h"
 
@@ -21,16 +23,17 @@ namespace fs = std::filesystem;
 class SpoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = (fs::temp_directory_path() /
-             ("bb_spool_test_" +
-              std::string(::testing::UnitTest::GetInstance()
-                              ->current_test_info()
-                              ->name())))
-                .string();
+    root_ = testdir::TempPath(
+        "spool_" + std::string(::testing::UnitTest::GetInstance()
+                                   ->current_test_info()
+                                   ->name()));
     fs::remove_all(root_);
     ASSERT_TRUE(EnsureSpool(root_).ok());
   }
-  void TearDown() override { fs::remove_all(root_); }
+  void TearDown() override {
+    faultinject::Clear();
+    fs::remove_all(root_);
+  }
 
   JobRecord Job(std::uint64_t id, JobState state) {
     JobRecord job;
@@ -75,6 +78,31 @@ TEST_F(SpoolTest, MoveJobWritesDestinationThenRemovesSource) {
   const auto moved = LoadJob(JobPath(root_, kRunningDir, 7));
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(moved->state, JobState::kRunning);
+}
+
+TEST_F(SpoolTest, TornMoveKeepsTheSourceRecord) {
+  ASSERT_TRUE(SaveJob(Job(7, JobState::kQueued),
+                      JobPath(root_, kQueuedDir, 7)).ok());
+  // The destination seal tears, so the move stops before the unlink: the
+  // job stays queued instead of vanishing from every state directory.
+  ASSERT_TRUE(faultinject::Configure("write@0=truncate").ok());
+  const Status moved =
+      MoveJob(Job(7, JobState::kRunning), root_, kQueuedDir, kRunningDir);
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.code(), StatusCode::kIoError);
+  EXPECT_NE(moved.ToString().find("spool move queued -> running"),
+            std::string::npos)
+      << moved.ToString();
+  faultinject::Clear();
+
+  const auto kept = LoadJob(JobPath(root_, kQueuedDir, 7));
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(kept->state, JobState::kQueued);
+  // The torn bytes stay in running/7.bbjb.tmp, which the spool never lists.
+  EXPECT_FALSE(fs::exists(JobPath(root_, kRunningDir, 7)));
+  const auto running = ListJobs(root_, kRunningDir);
+  ASSERT_TRUE(running.ok()) << running.status().ToString();
+  EXPECT_TRUE(running->empty());
 }
 
 TEST_F(SpoolTest, RecoveryResolvesDuplicatesByPrecedence) {
